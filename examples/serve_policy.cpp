@@ -2,9 +2,8 @@
  * @file
  * Serve a policy for one game over TCP: a fleet of PolicyServer
  * replicas with dynamic batching behind the replica router
- * (serve/router.hh), fronted by either the epoll event loop
- * (serve/event_loop.hh) or the thread-per-connection listener
- * (serve/tcp.hh). The wire protocol is the same either way.
+ * (serve/router.hh), fronted by the epoll event loop
+ * (serve/event_loop.hh).
  *
  *     ./serve_policy [game] [options]
  *
@@ -25,8 +24,6 @@
  *     --shed <f>        shed when fleet queue depth exceeds this
  *                       fraction of total capacity (default 0.75;
  *                       >= 1 disables router-level shedding)
- *     --frontend <name> epoll or threads (default epoll; threads
- *                       requires --replicas 1)
  *     --checkpoint <p>  serve the trained theta from a training
  *                       checkpoint instead of random initialization
  *     --demo            drive the server with an in-process TCP client
@@ -88,8 +85,8 @@ runDemo(std::uint16_t port, env::GameId game,
     env::AtariSession session(env::makeEnvironment(game, 42),
                               session_cfg, 43);
 
-    std::printf("\n%-6s %-7s %-10s %-10s %s\n", "step", "action",
-                "value", "latency", "batch");
+    std::printf("\n%-6s %-7s %-10s %s\n", "step", "action", "value",
+                "latency");
     double total_us = 0.0;
     int steps = 0;
     for (; steps < 80 && !g_stop; ++steps) {
@@ -106,8 +103,8 @@ runDemo(std::uint16_t port, env::GameId game,
         }
         total_us += r.totalUs;
         if (steps % 10 == 0)
-            std::printf("%-6d %-7d %-10.4f %7.0f us %d\n", steps,
-                        r.action, r.value, r.totalUs, r.batchSize);
+            std::printf("%-6d %-7d %-10.4f %7.0f us\n", steps,
+                        r.action, r.value, r.totalUs);
         const auto step = session.act(r.action);
         if (step.episodeEnd)
             break;
@@ -129,7 +126,6 @@ main(int argc, char **argv)
     std::string game_name = "breakout";
     std::string backend_name = "fast";
     std::string policy_name = "least-loaded";
-    std::string frontend = "epoll";
     std::string checkpoint_path;
     long port = 0;
     int workers = 1;
@@ -161,8 +157,6 @@ main(int argc, char **argv)
             policy_name = argv[++i];
         } else if (arg == "--shed" && i + 1 < argc) {
             shed_fraction = std::strtod(argv[++i], nullptr);
-        } else if (arg == "--frontend" && i + 1 < argc) {
-            frontend = argv[++i];
         } else if (arg == "--checkpoint" && i + 1 < argc) {
             checkpoint_path = argv[++i];
         } else if (arg == "--demo") {
@@ -210,18 +204,6 @@ main(int argc, char **argv)
                      "invalid worker/batch/linger/fleet settings\n");
         return 2;
     }
-    if (frontend != "epoll" && frontend != "threads") {
-        std::fprintf(stderr, "unknown frontend: %s (want "
-                             "epoll|threads)\n",
-                     frontend.c_str());
-        return 2;
-    }
-    if (frontend == "threads" && replicas != 1) {
-        std::fprintf(stderr, "--frontend threads serves a single "
-                             "replica; use --frontend epoll for a "
-                             "fleet\n");
-        return 2;
-    }
 
     const int actions = env::makeEnvironment(game, 0)->numActions();
     const nn::NetConfig net_cfg = nn::NetConfig::tiny(actions);
@@ -263,39 +245,22 @@ main(int argc, char **argv)
     router.publish(params);
     router.start();
 
-    // Either front speaks the same wire format; epoll multiplexes all
-    // connections on one thread and is the only front that can route
-    // into a fleet.
-    serve::TcpServer *tcp = nullptr;
-    serve::EventLoopServer *loop = nullptr;
-    serve::TcpConfig tcp_cfg;
     serve::EventLoopConfig loop_cfg;
-    std::uint16_t bound_port = 0;
-    if (frontend == "threads") {
-        tcp_cfg.port = static_cast<std::uint16_t>(port);
-        tcp = new serve::TcpServer(router.replica(0), tcp_cfg);
-        if (!tcp->start()) {
-            std::fprintf(stderr, "cannot listen on port %ld\n", port);
-            return 1;
-        }
-        bound_port = tcp->port();
-    } else {
-        loop_cfg.port = static_cast<std::uint16_t>(port);
-        loop = new serve::EventLoopServer(router, loop_cfg);
-        if (!loop->start()) {
-            std::fprintf(stderr, "cannot listen on port %ld\n", port);
-            return 1;
-        }
-        bound_port = loop->port();
+    loop_cfg.port = static_cast<std::uint16_t>(port);
+    serve::EventLoopServer loop(router, loop_cfg);
+    if (!loop.start()) {
+        std::fprintf(stderr, "cannot listen on port %ld\n", port);
+        return 1;
     }
+    const std::uint16_t bound_port = loop.port();
     std::printf("Serving %s on 127.0.0.1:%u (%s backend, %d replica%s"
                 " x %d worker%s, %s routing, max batch %d, linger %ld "
-                "us, %s frontend).\n",
+                "us).\n",
                 game_name.c_str(), bound_port, backend_name.c_str(),
                 replicas, replicas == 1 ? "" : "s", workers,
                 workers == 1 ? "" : "s",
                 serve::routePolicyName(*maybe_policy), max_batch,
-                linger_us, frontend.c_str());
+                linger_us);
     if (const obs::TelemetryServer *telemetry = obs::telemetry())
         std::printf("Telemetry on http://127.0.0.1:%d (/metrics "
                     "/healthz /readyz).\n",
@@ -312,14 +277,7 @@ main(int argc, char **argv)
         std::printf("\nShutting down.\n");
     }
 
-    if (tcp) {
-        tcp->stop();
-        delete tcp;
-    }
-    if (loop) {
-        loop->stop();
-        delete loop;
-    }
+    loop.stop();
     router.stop();
     if (router.sheds() > 0)
         std::printf("Router shed %llu of %llu requests (%.1f%%).\n",

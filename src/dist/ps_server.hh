@@ -4,11 +4,11 @@
  *
  * A PsServer owns the sharded global state (dist::ShardedParams), the
  * worker lease table (dist::LeaseTable), and a TCP endpoint speaking
- * dist::wire. Each accepted connection gets its own handler thread
- * (the serve::TcpServer model): a worker Hellos once — the PS
- * validates its parameter layout against the server's network, grants
- * a lease, and from then on every Push renews the lease, runs the
- * staleness check, and applies the gradients through shared RMSProp.
+ * dist::wire. Each accepted connection gets its own handler thread:
+ * a worker Hellos once — the PS validates its parameter layout
+ * against the server's network, grants a lease, and from then on
+ * every Push renews the lease, runs the staleness check, and applies
+ * the gradients through shared RMSProp.
  * A housekeeping thread reaps expired leases (a worker killed by
  * FA3C_FAULT_KILL_AGENT stops renewing and is dropped within one TTL;
  * a clean connection close reaps immediately) and writes periodic

@@ -48,28 +48,10 @@ writeTraceCtx(sim::ByteWriter &w, const TraceCtx &t)
     w.write(t.sampled);
 }
 
-/** Optional trailing trace context: a payload that ends where the
- * pre-trace format did decodes to a zeroed context, so old senders
- * stay compatible with new receivers. */
 bool
-readTraceCtxTail(sim::ByteReader &r, TraceCtx &t)
+readTraceCtx(sim::ByteReader &r, TraceCtx &t)
 {
-    if (r.ok() && r.remaining() == 0) {
-        t = TraceCtx{};
-        return true;
-    }
     return r.read(t.traceId) && r.read(t.spanId) && r.read(t.sampled);
-}
-
-/** Optional trailing u64 (handshake wall-clock stamps). */
-bool
-readU64Tail(sim::ByteReader &r, std::uint64_t &v)
-{
-    if (r.ok() && r.remaining() == 0) {
-        v = 0;
-        return true;
-    }
-    return r.read(v);
 }
 
 } // namespace
@@ -102,8 +84,7 @@ decodeHello(Hello &m, std::string_view payload)
 {
     sim::ByteReader r(payload);
     return r.readBlob(m.workerName) && r.read(m.paramCount) &&
-           r.read(m.layoutCrc) && readU64Tail(r, m.clientUnixUs) &&
-           finish(r);
+           r.read(m.layoutCrc) && r.read(m.clientUnixUs) && finish(r);
 }
 
 void
@@ -127,7 +108,7 @@ decodeWelcome(Welcome &m, std::string_view payload)
     return r.read(m.workerId) && r.read(m.leaseTtlMs) &&
            r.read(m.version) && r.read(m.steps) &&
            r.read(m.totalSteps) && r.read(m.maxStaleness) &&
-           readU64Tail(r, m.serverUnixUs) && finish(r);
+           r.read(m.serverUnixUs) && finish(r);
 }
 
 void
@@ -141,9 +122,8 @@ encodePull(std::string &out, const Pull &m)
 bool
 decodePull(Pull &m, std::string_view payload)
 {
-    // An empty payload is the pre-trace Pull; decode to a zero ctx.
     sim::ByteReader r(payload);
-    return readTraceCtxTail(r, m.trace) && finish(r);
+    return readTraceCtx(r, m.trace) && finish(r);
 }
 
 void
@@ -186,7 +166,7 @@ decodePush(Push &m, std::string_view payload, std::size_t expect_count)
     return r.read(m.workerId) && r.read(m.baseVersion) &&
            r.read(m.steps) && r.read(m.wantParams) &&
            readFloats(r, m.grads, expect_count) &&
-           readTraceCtxTail(r, m.trace) && finish(r);
+           readTraceCtx(r, m.trace) && finish(r);
 }
 
 void

@@ -24,14 +24,11 @@
  * garbage. Parameter/gradient vectors travel as raw f32 runs with an
  * element-count prefix validated against the receiver's layout.
  *
- * Trace propagation: Pull and Push carry an optional trailing
- * TraceCtx {trace_id, span_id, sampled} so one trace spans
- * worker -> PS -> RMSProp apply. Hello/Welcome exchange wall-clock
- * timestamps (unix µs) for the handshake clock-offset estimate that
- * tools/trace_merge uses to align per-process trace files. All four
- * extensions decode tolerantly: a payload that ends where the old
- * format did yields zeroed fields, so pre-trace peers interoperate
- * in both directions.
+ * Trace propagation: Pull and Push end with a TraceCtx {trace_id,
+ * span_id, sampled} so one trace spans worker -> PS -> RMSProp
+ * apply. Hello/Welcome exchange wall-clock timestamps (unix µs) for
+ * the handshake clock-offset estimate that tools/trace_merge uses to
+ * align per-process trace files.
  */
 
 #ifndef FA3C_DIST_WIRE_HH
@@ -82,7 +79,7 @@ struct Hello
     std::string workerName;
     std::uint64_t paramCount = 0;
     std::uint32_t layoutCrc = 0;
-    std::uint64_t clientUnixUs = 0; ///< sender wall clock (0 = old peer)
+    std::uint64_t clientUnixUs = 0; ///< sender wall clock
 };
 
 /** Lease grant. workerId == 0 means the hello was rejected (layout
@@ -95,7 +92,7 @@ struct Welcome
     std::uint64_t steps = 0;
     std::uint64_t totalSteps = 0;
     std::uint64_t maxStaleness = 0;
-    std::uint64_t serverUnixUs = 0; ///< PS wall clock (0 = old peer)
+    std::uint64_t serverUnixUs = 0; ///< PS wall clock
 };
 
 /** Parameter fetch; carries only the caller's trace context. */
@@ -121,7 +118,7 @@ struct Push
     std::uint64_t steps = 0;       ///< env steps consumed
     std::uint8_t wantParams = 0;   ///< piggyback fresh theta on the ack
     std::vector<float> grads;
-    TraceCtx trace; ///< optional trailing trace context
+    TraceCtx trace;
 };
 
 /** Outcome of a Push. On rejection (staleness bound exceeded or

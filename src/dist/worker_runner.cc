@@ -71,21 +71,18 @@ RemoteParams::joinLocked()
     if (!client_.hello(hello, welcome))
         return false;
     const std::uint64_t t_recv = nowUnixUs();
-    if (welcome.serverUnixUs != 0) {
-        // Cristian-style offset estimate: the PS stamped its Welcome
-        // somewhere inside [t_send, t_recv]; assume the midpoint.
-        // Positive offset = this host's clock runs ahead of the PS.
-        const double mid =
-            (static_cast<double>(t_send) +
-             static_cast<double>(t_recv)) /
-            2.0;
-        const double offset =
-            mid - static_cast<double>(welcome.serverUnixUs);
-        obs::metrics().sample("dist", "clock_offset_us", offset);
-        if (auto *tw = obs::trace()) {
-            tw->setClockOffsetUs(offset);
-            tw->setProcessLabel(name_);
-        }
+    // Cristian-style offset estimate: the PS stamped its Welcome
+    // somewhere inside [t_send, t_recv]; assume the midpoint.
+    // Positive offset = this host's clock runs ahead of the PS.
+    const double mid =
+        (static_cast<double>(t_send) + static_cast<double>(t_recv)) /
+        2.0;
+    const double offset =
+        mid - static_cast<double>(welcome.serverUnixUs);
+    obs::metrics().sample("dist", "clock_offset_us", offset);
+    if (auto *tw = obs::trace()) {
+        tw->setClockOffsetUs(offset);
+        tw->setProcessLabel(name_);
     }
     const auto pull_span = obs::rootSpan();
     const auto pull_t0 = Clock::now();

@@ -1,8 +1,8 @@
 /**
  * @file
  * Length-prefix framing and byte-codec helpers shared by every TCP
- * endpoint in the tree: the serving front-ends (serve/tcp.*,
- * serve/event_loop.*), the blocking serve client, and the distributed
+ * endpoint in the tree: the serving front-end (serve/event_loop.*),
+ * the blocking serve client (serve/tcp.*), and the distributed
  * training plane under src/dist. All integers little-endian, floats
  * IEEE-754 binary32; both ends are assumed little-endian hosts.
  *
@@ -17,9 +17,9 @@
  *    reassembly buffer non-blocking loops use to parse frames that
  *    arrive split across reads.
  *
- * The serving wire format (serve/wire.hh) predates this file and
- * carries its own headers; it builds on the put/get layer only, so
- * its frames stay bit-identical to what v1/v2 clients expect.
+ * The serving wire format (serve/wire.hh) carries its own headers
+ * rather than Frame's {magic, type, length}: it builds on the put/get
+ * layer only.
  */
 
 #ifndef FA3C_NET_FRAME_HH

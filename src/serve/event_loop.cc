@@ -264,7 +264,7 @@ EventLoopServer::loopMain()
                         continue; // connection died first
                     // Next iteration re-finds, so a close is fine.
                     (void)finishSlot(it->second, c.seq, c.tag,
-                                     c.version, std::move(c.resp));
+                                     std::move(c.resp));
                 }
                 continue;
             }
@@ -381,29 +381,18 @@ EventLoopServer::parseFrames(Conn &c)
             // The inline flush can cascade (send failure, or a
             // half-closed peer retiring once this rejection was its
             // last owed response) into closeConn — stop parsing then.
-            if (!finishSlot(c, seq, c.drainTag, c.drainVersion,
-                            std::move(resp)))
+            if (!finishSlot(c, seq, c.drainTag, std::move(resp)))
                 return false;
             continue;
         }
         if (avail < wire::kRequestHeaderBytes)
             break;
-        wire::RequestHeader h =
-            wire::decodeRequestHeader(c.in.data());
-        if (h.version == 0) {
+        wire::RequestHeader h;
+        if (!wire::decodeRequestHeader(c.in.data(), h)) {
             FA3C_WARN("serve: bad request magic; closing connection");
             closeConn(c.id);
             return false;
         }
-        // v3 frames carry a trace-context trailer after the common
-        // header; the full header length is known once the magic is.
-        const std::size_t header_len =
-            wire::requestHeaderBytes(h.version);
-        if (avail < header_len)
-            break; // trailer split across reads; wait for the rest
-        if (h.version >= 3)
-            wire::decodeRequestTrace(
-                c.in.data() + wire::kRequestHeaderBytes, h);
         if (h.numel > cfg_.maxObsNumel) {
             // Refuse to sit in a multi-GB discard loop on the
             // claimant's schedule: oversize claims are a protocol
@@ -417,18 +406,17 @@ EventLoopServer::parseFrames(Conn &c)
         if (h.numel != wantNumel_) {
             // Wrong geometry (or absurd size): discard the payload
             // without ever buffering it, answer RejectedBadRequest.
-            c.in.consume(header_len);
+            c.in.consume(wire::kRequestHeaderBytes);
             c.draining = true;
             c.drainBytes =
                 static_cast<std::uint64_t>(h.numel) * sizeof(float);
             c.drainTag = h.tag;
-            c.drainVersion = h.version;
             continue;
         }
         const std::size_t payload = wantNumel_ * sizeof(float);
-        if (avail < header_len + payload)
+        if (avail < wire::kRequestHeaderBytes + payload)
             break; // frame split across reads; wait for the rest
-        c.in.consume(header_len);
+        c.in.consume(wire::kRequestHeaderBytes);
         std::memcpy(obsScratch_.data().data(), c.in.data(), payload);
         c.in.consume(payload);
 
@@ -444,16 +432,14 @@ EventLoopServer::parseFrames(Conn &c)
         auto bus = bus_;
         const std::uint64_t conn_id = c.id;
         const std::uint64_t tag = h.tag;
-        const int version = h.version;
         submit_(obsScratch_,
                 std::chrono::microseconds(h.deadlineUs), c.id,
                 slot.span,
-                [bus, conn_id, seq, tag, version](Response &&resp) {
+                [bus, conn_id, seq, tag](Response &&resp) {
                     Completion done;
                     done.conn = conn_id;
                     done.seq = seq;
                     done.tag = tag;
-                    done.version = version;
                     done.resp = std::move(resp);
                     bus->post(std::move(done));
                 });
@@ -465,8 +451,7 @@ EventLoopServer::parseFrames(Conn &c)
 
 bool
 EventLoopServer::finishSlot(Conn &c, std::uint64_t seq,
-                            std::uint64_t tag, int version,
-                            Response &&resp)
+                            std::uint64_t tag, Response &&resp)
 {
     const std::uint64_t idx = seq - c.headSeq;
     if (idx >= c.slots.size())
@@ -479,7 +464,7 @@ EventLoopServer::finishSlot(Conn &c, std::uint64_t seq,
         obs::emitSpan(slot.span, "serve.frontend", "frontend.request",
                       slot.recv, Clock::now(), args);
     }
-    wire::encodeResponse(slot.bytes, tag, resp, version);
+    wire::encodeResponse(slot.bytes, tag, resp);
     slot.ready = true;
     if (idx == 0)
         return flushHead(c); // false: the flush closed the conn

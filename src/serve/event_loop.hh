@@ -1,10 +1,10 @@
 /**
  * @file
- * Non-blocking epoll front-end for the serving wire format: one loop
- * thread multiplexes every connection instead of tcp.hh's
- * thread-per-connection model, so connection count stops costing a
- * stack and a scheduler entry each — the accept path is O(1) and a
- * few thousand mostly-idle clients are cheap.
+ * The serving front-end: a non-blocking epoll server for the wire
+ * format in serve/wire.hh. One loop thread multiplexes every
+ * connection, so connection count does not cost a stack and a
+ * scheduler entry each — the accept path is O(1) and a few thousand
+ * mostly-idle clients are cheap.
  *
  * Per-connection state machine:
  *
@@ -126,7 +126,6 @@ class EventLoopServer
         std::uint64_t conn = 0;
         std::uint64_t seq = 0;
         std::uint64_t tag = 0;
-        int version = 1;
         Response resp;
     };
 
@@ -163,7 +162,6 @@ class EventLoopServer
         std::uint64_t drainBytes = 0;
         bool draining = false;
         std::uint64_t drainTag = 0;
-        int drainVersion = 1;
     };
 
     EventLoopServer(const nn::A3cNetwork &net, SubmitFn submit,
@@ -180,7 +178,7 @@ class EventLoopServer
     /** Fill slot @p seq and flush if it unblocked the head.
      * @return false when the flush closed the conn (@p c dangles). */
     bool finishSlot(Conn &c, std::uint64_t seq, std::uint64_t tag,
-                    int version, Response &&resp);
+                    Response &&resp);
     /** Move ready head slots to the write buffer and push them to the
      * socket. @return false when the connection was closed. */
     bool flushHead(Conn &c);

@@ -65,15 +65,15 @@ struct Response
     float value = 0.0f;         ///< value-head output
     std::vector<float> policy;  ///< softmax action probabilities
     std::uint64_t modelVersion = 0; ///< parameter version served
-    int batchSize = 0;          ///< size of the batch this rode in
+    int batchSize = 0;          ///< batch size; not on the wire
     double queueUs = 0.0;       ///< enqueue -> picked into a batch
     double inferUs = 0.0;       ///< forwardBatch wall time
     double totalUs = 0.0;       ///< enqueue -> response completed
     /**
      * Back-off hint on Rejected* responses: how long the client
      * should wait before retrying, estimated from the queue drain
-     * rate at rejection time (0 = no hint; retry at will). Part of
-     * the v2 wire frame.
+     * rate at rejection time (0 = no hint; retry at will). Carried
+     * on the wire response.
      */
     std::uint32_t retryAfterUs = 0;
 };

@@ -6,8 +6,8 @@
  * worker pool (per-worker DnnBackend) -> promise/future completion,
  * with a ModelRegistry on the side that a live trainer publishes
  * parameter versions into (hot-swap without blocking in-flight
- * batches). The TCP front-end (serve/tcp.hh) and the load-generator
- * bench both drive this same API.
+ * batches). The epoll front-end (serve/event_loop.hh) and the
+ * load-generator bench both drive this same API.
  *
  * Lifecycle: construct -> publish() at least once -> start() ->
  * submit()... -> stop(). Submissions before the first publish are

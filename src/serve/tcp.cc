@@ -2,17 +2,15 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
-#include <cerrno>
-#include <cstring>
+#include <chrono>
+#include <vector>
 
 #include "net/frame.hh"
-#include "obs/span.hh"
-#include "sim/logging.hh"
+#include "serve/wire.hh"
 
 namespace fa3c::serve {
 
@@ -20,188 +18,6 @@ namespace fa3c::serve {
 using net::readFull;
 using net::setNoDelay;
 using net::writeFull;
-
-TcpServer::TcpServer(PolicyServer &server, const TcpConfig &cfg)
-    : server_(server), cfg_(cfg)
-{
-}
-
-TcpServer::~TcpServer()
-{
-    stop();
-}
-
-bool
-TcpServer::start()
-{
-    if (listenFd_ >= 0)
-        return true;
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0) {
-        FA3C_WARN("serve: socket() failed: ", std::strerror(errno));
-        return false;
-    }
-    int one = 1;
-    (void)::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(cfg_.port);
-    if (::inet_pton(AF_INET, cfg_.bindAddress.c_str(),
-                    &addr.sin_addr) != 1) {
-        FA3C_WARN("serve: bad bind address '", cfg_.bindAddress, "'");
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return false;
-    }
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listenFd_, cfg_.backlog) != 0) {
-        FA3C_WARN("serve: bind/listen on ", cfg_.bindAddress, ":",
-                  cfg_.port, " failed: ", std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return false;
-    }
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&bound),
-                      &bound_len) == 0)
-        port_ = ntohs(bound.sin_port);
-    acceptThread_ = std::thread([this] { acceptMain(); });
-    return true;
-}
-
-void
-TcpServer::stop()
-{
-    if (stopping_.exchange(true))
-        return;
-    // Shutdown (not close) unblocks the accept loop; the fd itself is
-    // closed only after the accept thread joined, so no other thread
-    // can observe a recycled descriptor number.
-    if (listenFd_ >= 0)
-        ::shutdown(listenFd_, SHUT_RDWR);
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-    std::vector<std::thread> threads;
-    {
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        for (int fd : connFds_)
-            ::shutdown(fd, SHUT_RDWR);
-        threads.swap(connThreads_);
-    }
-    for (auto &t : threads)
-        if (t.joinable())
-            t.join();
-}
-
-void
-TcpServer::acceptMain()
-{
-    const int listen_fd = listenFd_; // fixed for the thread's lifetime
-    for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // listener closed (stop) or fatal error
-        }
-        if (stopping_.load()) {
-            ::close(fd);
-            return;
-        }
-        setNoDelay(fd);
-        connections_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        connFds_.push_back(fd);
-        connThreads_.emplace_back(
-            [this, fd] { connectionMain(fd); });
-    }
-}
-
-void
-TcpServer::connectionMain(int fd)
-{
-    const nn::NetConfig &net_cfg = server_.network().config();
-    const std::size_t want_numel =
-        static_cast<std::size_t>(net_cfg.inChannels) *
-        static_cast<std::size_t>(net_cfg.inHeight) *
-        static_cast<std::size_t>(net_cfg.inWidth);
-    tensor::Tensor obs(tensor::Shape(
-        {net_cfg.inChannels, net_cfg.inHeight, net_cfg.inWidth}));
-    std::vector<std::uint8_t> header(wire::kRequestHeaderBytes);
-    std::vector<std::uint8_t> out;
-    std::vector<float> drain;
-
-    std::vector<std::uint8_t> trace_ctx(wire::kTraceCtxBytes);
-    while (!stopping_.load(std::memory_order_relaxed)) {
-        if (!readFull(fd, header.data(), header.size()))
-            break;
-        wire::RequestHeader h =
-            wire::decodeRequestHeader(header.data());
-        if (h.version == 0) {
-            FA3C_WARN("serve: bad request magic; closing connection");
-            break;
-        }
-        if (h.version >= 3) {
-            if (!readFull(fd, trace_ctx.data(), trace_ctx.size()))
-                break;
-            wire::decodeRequestTrace(trace_ctx.data(), h);
-        }
-        const auto tag = h.tag;
-        const auto deadline_us = h.deadlineUs;
-        const auto numel = h.numel;
-        if (numel > cfg_.maxObsNumel)
-            break; // refuse to stream an absurd payload
-
-        Response resp;
-        if (numel == want_numel) {
-            if (!readFull(fd, obs.data().data(),
-                          numel * sizeof(float)))
-                break;
-            // The span for this request's trace: a child of the
-            // client-propagated context on v3, a locally minted root
-            // otherwise. Everything downstream (queue, batch, infer)
-            // hangs off it via PolicyServer::submit's parent argument.
-            const auto root = wire::requestSpan(h);
-            const auto t_recv = Clock::now();
-            resp = server_
-                       .submit(obs,
-                               std::chrono::microseconds(deadline_us),
-                               root)
-                       .get();
-            if (root.sampled) {
-                const std::array<obs::TraceArg, 2> args{
-                    {{"tag", static_cast<double>(tag)},
-                     {"conn_fd", static_cast<double>(fd)}}};
-                obs::emitSpan(root, "serve.tcp", "tcp.request",
-                              t_recv, Clock::now(), args);
-            }
-        } else {
-            // Wrong geometry: drain the payload, answer BadRequest.
-            drain.resize(numel);
-            if (numel > 0 &&
-                !readFull(fd, drain.data(), numel * sizeof(float)))
-                break;
-            resp.status = Status::RejectedBadRequest;
-        }
-        wire::encodeResponse(out, tag, resp, h.version);
-        if (!writeFull(fd, out.data(), out.size()))
-            break;
-    }
-    // Deregister before closing so stop() never shutdown()s a
-    // descriptor number the kernel may already have recycled.
-    {
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        std::erase(connFds_, fd);
-    }
-    ::close(fd);
-}
 
 bool
 TcpClient::connect(const std::string &host, std::uint16_t port)
@@ -229,49 +45,32 @@ TcpClient::request(const tensor::Tensor &obs, std::uint32_t deadline_us,
 {
     if (fd_ < 0)
         return false;
-    // On v3 every request carries a client-minted root context so the
+    // Every request carries a client-minted root context so the
     // server (and any router/replica hop behind it) parents its spans
     // under one fleet-wide trace_id.
-    lastSpan_ =
-        wireVersion_ >= 3 ? obs::rootSpan() : obs::SpanContext{};
+    lastSpan_ = obs::rootSpan();
     const auto t_send = std::chrono::steady_clock::now();
     std::vector<std::uint8_t> frame;
     wire::encodeRequest(frame, nextTag_++, deadline_us,
-                        obs.data().data(), obs.numel(),
-                        wireVersion_, lastSpan_);
-    if (!writeFull(fd_, frame.data(), frame.size()))
-        return false;
-
-    // The server answers in the version of the request magic, so
-    // sniff the response magic rather than assuming wireVersion_:
-    // then the rest of the fixed prefix, then the probability tail.
-    std::uint32_t magic = 0;
-    if (!readFull(fd_, &magic, sizeof(magic)))
-        return false;
-    int version = 0;
-    if (magic == wire::kResponseMagicV1)
-        version = 1;
-    else if (magic == wire::kResponseMagicV2)
-        version = 2;
-    else if (magic == wire::kResponseMagicV3)
-        version = 3;
-    else
-        return false;
-    std::uint8_t prefix[64];
-    const std::size_t prefix_len =
-        wire::responsePrefixBytes(version) - sizeof(magic);
-    if (!readFull(fd_, prefix, prefix_len))
-        return false;
-    const std::uint8_t *p = prefix;
+                        obs.data().data(), obs.numel(), lastSpan_);
+    std::array<std::uint8_t, wire::kResponsePrefixBytes> prefix{};
     std::uint64_t tag = 0; // single in-flight request; not checked
-    const auto num_probs =
-        wire::decodeResponseAfterMagic(p, version, tag, out);
-    if (num_probs > (1u << 20))
+    std::uint32_t num_probs = 0;
+    bool ok = writeFull(fd_, frame.data(), frame.size()) &&
+              readFull(fd_, prefix.data(), prefix.size()) &&
+              wire::decodeResponsePrefix(prefix.data(), tag, out,
+                                         num_probs) &&
+              num_probs <= (1u << 20);
+    if (ok) {
+        out.policy.resize(num_probs);
+        ok = num_probs == 0 ||
+             readFull(fd_, out.policy.data(), num_probs * sizeof(float));
+    }
+    if (!ok) {
+        // The frame boundary is lost; never reuse this stream.
+        close();
         return false;
-    out.policy.resize(num_probs);
-    if (num_probs > 0 &&
-        !readFull(fd_, out.policy.data(), num_probs * sizeof(float)))
-        return false;
+    }
     if (lastSpan_.sampled) {
         const std::array<obs::TraceArg, 1> args{
             {{"status", static_cast<double>(out.status)}}};

@@ -1,97 +1,24 @@
 /**
  * @file
- * Thread-per-connection TCP front-end over a PolicyServer, so
- * external processes can submit observations and receive
- * action/value outputs. The frame layout (and its v1/v2/v3 minor
- * versioning) lives in serve/wire.hh, shared with the epoll
- * event-loop front-end (serve/event_loop.hh) that supersedes this
- * one for high connection counts; this implementation stays as the
- * simple single-PolicyServer front and as a second, independent
- * implementation of the wire contract.
- *
- * A connection carries one request at a time (responses come back in
- * request order); clients wanting concurrency open more connections —
- * batching happens server-side across all of them. A malformed
- * observation size is answered with RejectedBadRequest rather than a
- * dropped connection; a bad magic closes the connection. Responses
- * use the wire version of the request magic, so v1 clients are
- * answered with v1 frames.
+ * Minimal blocking client for the serving wire format (serve/wire.hh)
+ * that serve::EventLoopServer answers: one request in flight per
+ * connection, so responses come back in request order. Clients
+ * wanting concurrency open more connections — batching happens
+ * server-side across all of them.
  */
 
 #ifndef FA3C_SERVE_TCP_HH
 #define FA3C_SERVE_TCP_HH
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "serve/server.hh"
-#include "serve/wire.hh"
+#include "obs/span.hh"
+#include "serve/request.hh"
 
 namespace fa3c::serve {
 
-inline constexpr std::uint32_t kRequestMagic = wire::kRequestMagicV1;
-inline constexpr std::uint32_t kResponseMagic =
-    wire::kResponseMagicV1;
-
-/** TCP listener configuration. */
-struct TcpConfig
-{
-    std::string bindAddress = "127.0.0.1";
-    std::uint16_t port = 0; ///< 0 = ephemeral (read back via port())
-    int backlog = 16;
-    /** Frames claiming more observation floats than this are answered
-     * with RejectedBadRequest and the payload is drained. */
-    std::uint32_t maxObsNumel = 1u << 22;
-};
-
-/** Accept loop + per-connection reader threads over a PolicyServer. */
-class TcpServer
-{
-  public:
-    TcpServer(PolicyServer &server, const TcpConfig &cfg);
-    ~TcpServer();
-
-    TcpServer(const TcpServer &) = delete;
-    TcpServer &operator=(const TcpServer &) = delete;
-
-    /**
-     * Bind, listen, and launch the accept thread.
-     * @return false (with a warning) when bind/listen fails.
-     */
-    bool start();
-
-    /** Close the listener and all connections, join all threads. */
-    void stop();
-
-    /** The bound port (after start(); resolves ephemeral binds). */
-    std::uint16_t port() const { return port_; }
-
-    std::uint64_t connectionsAccepted() const
-    {
-        return connections_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    void acceptMain();
-    void connectionMain(int fd);
-
-    PolicyServer &server_;
-    TcpConfig cfg_;
-    int listenFd_ = -1;
-    std::uint16_t port_ = 0;
-    std::thread acceptThread_;
-    std::mutex threadsMutex_;
-    std::vector<std::thread> connThreads_;
-    std::vector<int> connFds_;
-    std::atomic<bool> stopping_{false};
-    std::atomic<std::uint64_t> connections_{0};
-};
-
-/** Minimal blocking client for the wire format (tests, demo, bench). */
+/** Blocking wire client (tests, demo, bench). */
 class TcpClient
 {
   public:
@@ -106,27 +33,16 @@ class TcpClient
 
     /**
      * Send one observation and block for the response.
-     * @return false on a transport error (connection unusable).
+     * @return false on a transport or framing error; the connection
+     * is closed then, since its frame boundary is lost.
      */
     bool request(const tensor::Tensor &obs, std::uint32_t deadline_us,
                  Response &out);
 
     /**
-     * Wire version for outgoing requests (default: newest). Set 1 or
-     * 2 when talking to an older server — old binaries close the
-     * connection on a magic they don't recognize, so a newer client
-     * cannot reach them. Responses are decoded by their own magic
-     * either way.
-     */
-    void setWireVersion(int version) { wireVersion_ = version; }
-
-    int wireVersion() const { return wireVersion_; }
-
-    /**
-     * The span context of the most recent request(): on v3 this is
-     * the client-side root injected into the frame, so callers (and
-     * tests) can correlate their own spans with the server side.
-     * Invalid below v3.
+     * The span context of the most recent request(): the client-side
+     * root injected into the frame, so callers (and tests) can
+     * correlate their own spans with the server side.
      */
     const obs::SpanContext &lastSpan() const { return lastSpan_; }
 
@@ -137,7 +53,6 @@ class TcpClient
   private:
     int fd_ = -1;
     std::uint64_t nextTag_ = 1;
-    int wireVersion_ = wire::kWireVersionLatest;
     obs::SpanContext lastSpan_;
 };
 

@@ -1,27 +1,21 @@
 /**
  * @file
- * The length-prefixed serving wire format, shared by every front-end
- * (thread-per-connection serve/tcp.*, epoll serve/event_loop.*) and
- * the blocking client. All integers are little-endian, floats
- * IEEE-754 binary32; both ends are assumed little-endian hosts.
+ * The length-prefixed serving wire format, spoken by the epoll
+ * front-end (serve/event_loop.*) and the blocking client
+ * (serve/tcp.*). All integers are little-endian, floats IEEE-754
+ * binary32; both ends are assumed little-endian hosts.
  *
- * Three minor versions are live. A connection's version is set by the
- * request magic the client sends and answered in kind, so old
- * clients keep working against new servers:
- *
- *   request frame (v1 magic 0xFA3C5E01, v2 0xFA3C5E11,
- *                  v3 0xFA3C5E21):
+ *   request frame (magic 0xFA3C5E21):
  *     u32 magic
  *     u64 tag          client-chosen, echoed in the response
  *     u32 deadline_us  latency budget (0 = none)
  *     u32 obs_numel    number of observation floats
- *     u64 trace_id        [v3 only] 0 = no trace context
- *     u64 parent_span_id  [v3 only]
- *     u8  sampled         [v3 only] head sampling decision
+ *     u64 trace_id        0 = no trace context
+ *     u64 parent_span_id
+ *     u8  sampled         head sampling decision
  *     f32 obs[obs_numel]
  *
- *   response frame (v1 magic 0xFA3C5E02, v2 0xFA3C5E12,
- *                   v3 0xFA3C5E22):
+ *   response frame (magic 0xFA3C5E22):
  *     u32 magic
  *     u64 tag          echoed request tag
  *     u8  status       serve::Status value
@@ -29,16 +23,17 @@
  *     f32 value        value-head output
  *     u64 model_version
  *     f32 queue_us, f32 infer_us, f32 total_us
- *     u32 retry_after_us   [v2+] back-off hint on Rejected*
+ *     u32 retry_after_us   back-off hint on Rejected*
  *     u32 num_probs    action-probability count (0 unless Ok)
  *     f32 probs[num_probs]
  *
- * The v2 bump added retry_after_us so clients facing a shedding
- * fleet can back off instead of hammering it. The v3 bump (this
- * minor revision) carries Dapper-style trace context on the request
- * so one trace_id spans client -> router -> replica -> backend
- * across process boundaries; the v3 response layout is bit-identical
- * to v2 apart from the magic.
+ * The trace block carries Dapper-style context so one trace_id spans
+ * client -> router -> replica -> backend across process boundaries;
+ * retry_after_us lets clients facing a shedding fleet back off
+ * instead of hammering it. Any other magic is a protocol error that
+ * closes the connection. That includes the retired request magics
+ * 0xFA3C5E01 and 0xFA3C5E11, whose shorter headers would otherwise
+ * misparse as this layout; never reuse them.
  */
 
 #ifndef FA3C_SERVE_WIRE_HH
@@ -59,88 +54,57 @@ namespace fa3c::serve::wire {
 using net::get;
 using net::put;
 
-inline constexpr std::uint32_t kRequestMagicV1 = 0xFA3C5E01;
-inline constexpr std::uint32_t kResponseMagicV1 = 0xFA3C5E02;
-inline constexpr std::uint32_t kRequestMagicV2 = 0xFA3C5E11;
-inline constexpr std::uint32_t kResponseMagicV2 = 0xFA3C5E12;
-inline constexpr std::uint32_t kRequestMagicV3 = 0xFA3C5E21;
-inline constexpr std::uint32_t kResponseMagicV3 = 0xFA3C5E22;
+inline constexpr std::uint32_t kRequestMagic = 0xFA3C5E21;
+inline constexpr std::uint32_t kResponseMagic = 0xFA3C5E22;
 
-/** Newest request version this build speaks. */
-inline constexpr int kWireVersionLatest = 3;
-
-/** Bytes of trace context appended to the v3 request header. */
-inline constexpr std::size_t kTraceCtxBytes =
+/** Request bytes before the observation payload, trace block
+ * included. */
+inline constexpr std::size_t kRequestHeaderBytes =
+    sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+    sizeof(std::uint32_t) + sizeof(std::uint32_t) +
     sizeof(std::uint64_t) + sizeof(std::uint64_t) +
     sizeof(std::uint8_t);
 
-/** Request header size in bytes, identical across v1/v2. */
-inline constexpr std::size_t kRequestHeaderBytes =
+/** Fixed response bytes before the probability tail, magic included. */
+inline constexpr std::size_t kResponsePrefixBytes =
     sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+    sizeof(std::uint8_t) + sizeof(std::int32_t) + sizeof(float) +
+    sizeof(std::uint64_t) + 3 * sizeof(float) +
     sizeof(std::uint32_t) + sizeof(std::uint32_t);
-
-/** Request header size in bytes for @p version. */
-inline constexpr std::size_t
-requestHeaderBytes(int version)
-{
-    return version >= 3 ? kRequestHeaderBytes + kTraceCtxBytes
-                        : kRequestHeaderBytes;
-}
-
-/** Wire version selected by a request magic; 0 = not ours. */
-inline int
-requestVersion(std::uint32_t magic)
-{
-    if (magic == kRequestMagicV1)
-        return 1;
-    if (magic == kRequestMagicV2)
-        return 2;
-    if (magic == kRequestMagicV3)
-        return 3;
-    return 0;
-}
 
 /** Decoded request frame header. */
 struct RequestHeader
 {
-    int version = 0; ///< 0 = bad magic
     std::uint64_t tag = 0;
     std::uint32_t deadlineUs = 0;
     std::uint32_t numel = 0;
-    std::uint64_t traceId = 0;    ///< v3; 0 = no context
-    std::uint64_t parentSpan = 0; ///< v3
-    bool sampled = false;         ///< v3
+    std::uint64_t traceId = 0; ///< 0 = no context
+    std::uint64_t parentSpan = 0;
+    bool sampled = false;
 };
 
 /**
- * Decode the version-independent prefix (kRequestHeaderBytes at
- * @p p). For v3 the caller must still read kTraceCtxBytes more and
- * feed them to decodeRequestTrace().
+ * Decode the kRequestHeaderBytes at @p p into @p h.
+ * @return false on a foreign magic (a protocol error).
  */
-inline RequestHeader
-decodeRequestHeader(const std::uint8_t *p)
+inline bool
+decodeRequestHeader(const std::uint8_t *p, RequestHeader &h)
 {
-    RequestHeader h;
-    h.version = requestVersion(get<std::uint32_t>(p));
+    if (get<std::uint32_t>(p) != kRequestMagic)
+        return false;
     h.tag = get<std::uint64_t>(p);
     h.deadlineUs = get<std::uint32_t>(p);
     h.numel = get<std::uint32_t>(p);
-    return h;
-}
-
-/** Decode kTraceCtxBytes at @p p into @p h (v3 trailer). */
-inline void
-decodeRequestTrace(const std::uint8_t *p, RequestHeader &h)
-{
     h.traceId = get<std::uint64_t>(p);
     h.parentSpan = get<std::uint64_t>(p);
     h.sampled = get<std::uint8_t>(p) != 0;
+    return true;
 }
 
 /**
  * The server-side span context for a decoded request: a child of the
  * propagated remote span when the client sent one, a fresh local
- * root otherwise (v1/v2 peers, or v3 with tracing off).
+ * root when its trace_id is 0.
  */
 inline obs::SpanContext
 requestSpan(const RequestHeader &h)
@@ -148,54 +112,35 @@ requestSpan(const RequestHeader &h)
     return obs::remoteChildSpan(h.traceId, h.parentSpan, h.sampled);
 }
 
-/** Encode one request frame in @p version's magic (defaults to the
- * newest; pass 1 or 2 to talk to an older server, which closes the
- * connection on a magic it does not recognize). @p trace carries the
- * client-side span context on v3 frames and is ignored below v3. */
+/** Encode one request frame; @p trace is the client-side span
+ * context the server parents its spans under. */
 inline void
 encodeRequest(std::vector<std::uint8_t> &buf, std::uint64_t tag,
               std::uint32_t deadline_us, const float *obs,
-              std::size_t numel, int version = kWireVersionLatest,
-              const obs::SpanContext &trace = {})
+              std::size_t numel, const obs::SpanContext &trace = {})
 {
     buf.clear();
-    buf.reserve(requestHeaderBytes(version) + numel * sizeof(float));
-    put<std::uint32_t>(buf, version >= 3   ? kRequestMagicV3
-                            : version >= 2 ? kRequestMagicV2
-                                           : kRequestMagicV1);
+    buf.reserve(kRequestHeaderBytes + numel * sizeof(float));
+    put<std::uint32_t>(buf, kRequestMagic);
     put<std::uint64_t>(buf, tag);
     put<std::uint32_t>(buf, deadline_us);
     put<std::uint32_t>(buf, static_cast<std::uint32_t>(numel));
-    if (version >= 3) {
-        put<std::uint64_t>(buf, trace.trace);
-        put<std::uint64_t>(buf, trace.span);
-        put<std::uint8_t>(buf, trace.sampled ? 1 : 0);
-    }
+    put<std::uint64_t>(buf, trace.trace);
+    put<std::uint64_t>(buf, trace.span);
+    put<std::uint8_t>(buf, trace.sampled ? 1 : 0);
     const auto *bytes = reinterpret_cast<const std::uint8_t *>(obs);
     buf.insert(buf.end(), bytes, bytes + numel * sizeof(float));
 }
 
-/** Fixed response bytes before the probability tail, magic included. */
-inline std::size_t
-responsePrefixBytes(int version)
-{
-    const std::size_t v1 =
-        sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-        sizeof(std::uint8_t) + sizeof(std::int32_t) + sizeof(float) +
-        sizeof(std::uint64_t) + 3 * sizeof(float) +
-        sizeof(std::uint32_t);
-    return version >= 2 ? v1 + sizeof(std::uint32_t) : v1;
-}
-
-/** Encode one response frame in @p version's layout. */
+/** Encode one response frame. */
 inline void
 encodeResponse(std::vector<std::uint8_t> &buf, std::uint64_t tag,
-               const Response &resp, int version)
+               const Response &resp)
 {
     buf.clear();
-    put<std::uint32_t>(buf, version >= 3   ? kResponseMagicV3
-                            : version >= 2 ? kResponseMagicV2
-                                           : kResponseMagicV1);
+    buf.reserve(kResponsePrefixBytes +
+                resp.policy.size() * sizeof(float));
+    put<std::uint32_t>(buf, kResponseMagic);
     put<std::uint64_t>(buf, tag);
     put<std::uint8_t>(buf, static_cast<std::uint8_t>(resp.status));
     put<std::int32_t>(buf, resp.action);
@@ -204,8 +149,7 @@ encodeResponse(std::vector<std::uint8_t> &buf, std::uint64_t tag,
     put<float>(buf, static_cast<float>(resp.queueUs));
     put<float>(buf, static_cast<float>(resp.inferUs));
     put<float>(buf, static_cast<float>(resp.totalUs));
-    if (version >= 2)
-        put<std::uint32_t>(buf, resp.retryAfterUs);
+    put<std::uint32_t>(buf, resp.retryAfterUs);
     put<std::uint32_t>(buf,
                        static_cast<std::uint32_t>(resp.policy.size()));
     for (float pr : resp.policy)
@@ -213,15 +157,16 @@ encodeResponse(std::vector<std::uint8_t> &buf, std::uint64_t tag,
 }
 
 /**
- * Decode a response prefix whose magic has already been consumed and
- * mapped to @p version. @p p must hold responsePrefixBytes(version)
- * minus the magic. @return the probability-tail count the caller
- * still has to read.
+ * Decode the kResponsePrefixBytes at @p p into @p tag and @p out;
+ * @p num_probs receives the probability-tail count the caller still
+ * has to read. @return false on a foreign magic.
  */
-inline std::uint32_t
-decodeResponseAfterMagic(const std::uint8_t *&p, int version,
-                         std::uint64_t &tag, Response &out)
+inline bool
+decodeResponsePrefix(const std::uint8_t *p, std::uint64_t &tag,
+                     Response &out, std::uint32_t &num_probs)
 {
+    if (get<std::uint32_t>(p) != kResponseMagic)
+        return false;
     tag = get<std::uint64_t>(p);
     out.status = static_cast<Status>(get<std::uint8_t>(p));
     out.action = get<std::int32_t>(p);
@@ -230,8 +175,9 @@ decodeResponseAfterMagic(const std::uint8_t *&p, int version,
     out.queueUs = get<float>(p);
     out.inferUs = get<float>(p);
     out.totalUs = get<float>(p);
-    out.retryAfterUs = version >= 2 ? get<std::uint32_t>(p) : 0;
-    return get<std::uint32_t>(p);
+    out.retryAfterUs = get<std::uint32_t>(p);
+    num_probs = get<std::uint32_t>(p);
+    return true;
 }
 
 } // namespace fa3c::serve::wire

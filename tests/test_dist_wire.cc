@@ -17,19 +17,12 @@ using namespace fa3c::dist;
 
 namespace {
 
-/**
- * Every strict prefix of @p payload must fail @p decode — except
- * @p legacy_ok, the pre-trace/pre-stamp format boundary, which the
- * tolerant-tail decoders deliberately accept (old peers emit it).
- */
+/** Every strict prefix of @p payload must fail @p decode. */
 template <typename Decode>
 void
-expectTruncationsRejected(const std::string &payload, Decode decode,
-                          std::size_t legacy_ok = std::string::npos)
+expectTruncationsRejected(const std::string &payload, Decode decode)
 {
     for (std::size_t keep = 0; keep < payload.size(); ++keep) {
-        if (keep == legacy_ok)
-            continue;
         EXPECT_FALSE(decode(std::string_view(payload.data(), keep)))
             << "prefix of " << keep << " bytes decoded";
     }
@@ -52,13 +45,10 @@ TEST(DistWire, HelloRoundTrip)
     EXPECT_EQ(back.paramCount, 123456u);
     EXPECT_EQ(back.layoutCrc, 0xCAFED00Du);
 
-    expectTruncationsRejected(
-        payload,
-        [](std::string_view p) {
-            wire::Hello h;
-            return wire::decodeHello(h, p);
-        },
-        payload.size() - sizeof(std::uint64_t));
+    expectTruncationsRejected(payload, [](std::string_view p) {
+        wire::Hello h;
+        return wire::decodeHello(h, p);
+    });
 }
 
 TEST(DistWire, WelcomeRoundTrip)
@@ -82,13 +72,10 @@ TEST(DistWire, WelcomeRoundTrip)
     EXPECT_EQ(back.totalSteps, 100000u);
     EXPECT_EQ(back.maxStaleness, 3u);
 
-    expectTruncationsRejected(
-        payload,
-        [](std::string_view p) {
-            wire::Welcome w;
-            return wire::decodeWelcome(w, p);
-        },
-        payload.size() - sizeof(std::uint64_t));
+    expectTruncationsRejected(payload, [](std::string_view p) {
+        wire::Welcome w;
+        return wire::decodeWelcome(w, p);
+    });
 }
 
 TEST(DistWire, ParamsRoundTripValidatesCount)
@@ -143,16 +130,13 @@ TEST(DistWire, PushRoundTripValidatesCount)
     wire::Push wrong;
     EXPECT_FALSE(wire::decodePush(wrong, payload, 2));
 
-    expectTruncationsRejected(
-        payload,
-        [](std::string_view p) {
-            wire::Push out;
-            return wire::decodePush(out, p, 3);
-        },
-        payload.size() - 17); // u64 trace + u64 span + u8 sampled
+    expectTruncationsRejected(payload, [](std::string_view p) {
+        wire::Push out;
+        return wire::decodePush(out, p, 3);
+    });
 }
 
-TEST(DistWire, PushTraceCtxRoundTripAndLegacyCompat)
+TEST(DistWire, PushTraceCtxRoundTrip)
 {
     wire::Push m;
     m.workerId = 3;
@@ -170,20 +154,9 @@ TEST(DistWire, PushTraceCtxRoundTripAndLegacyCompat)
     EXPECT_EQ(back.trace.traceId, m.trace.traceId);
     EXPECT_EQ(back.trace.spanId, m.trace.spanId);
     EXPECT_EQ(back.trace.sampled, 1);
-
-    // A pre-trace peer's Push ends 17 bytes earlier; it must decode
-    // with a zeroed (unsampled) context, not be rejected.
-    wire::Push legacy;
-    ASSERT_TRUE(wire::decodePush(
-        legacy, std::string_view(payload.data(), payload.size() - 17),
-        1));
-    EXPECT_EQ(legacy.trace.traceId, 0u);
-    EXPECT_EQ(legacy.trace.spanId, 0u);
-    EXPECT_EQ(legacy.trace.sampled, 0);
-    EXPECT_EQ(legacy.grads, m.grads);
 }
 
-TEST(DistWire, PullRoundTripAndLegacyEmptyPayload)
+TEST(DistWire, PullRoundTrip)
 {
     wire::Pull m;
     m.trace.traceId = 77;
@@ -198,12 +171,10 @@ TEST(DistWire, PullRoundTripAndLegacyEmptyPayload)
     EXPECT_EQ(back.trace.spanId, 88u);
     EXPECT_EQ(back.trace.sampled, 1);
 
-    // Old workers sent Pull with an empty payload.
-    wire::Pull legacy;
-    legacy.trace.traceId = 999; // must be overwritten, not kept
-    ASSERT_TRUE(wire::decodePull(legacy, std::string_view{}));
-    EXPECT_EQ(legacy.trace.traceId, 0u);
-    EXPECT_EQ(legacy.trace.sampled, 0);
+    expectTruncationsRejected(payload, [](std::string_view p) {
+        wire::Pull out;
+        return wire::decodePull(out, p);
+    });
 }
 
 TEST(DistWire, HandshakeClockStampsRoundTrip)
@@ -219,13 +190,6 @@ TEST(DistWire, HandshakeClockStampsRoundTrip)
     ASSERT_TRUE(wire::decodeHello(hello_back, payload));
     EXPECT_EQ(hello_back.clientUnixUs, hello.clientUnixUs);
 
-    // Legacy Hello (no stamp) -> stamp reads as 0.
-    wire::Hello legacy;
-    ASSERT_TRUE(wire::decodeHello(
-        legacy,
-        std::string_view(payload.data(), payload.size() - 8)));
-    EXPECT_EQ(legacy.clientUnixUs, 0u);
-
     wire::Welcome welcome;
     welcome.workerId = 1;
     welcome.serverUnixUs = 1'722'000'000'500'000ull;
@@ -234,12 +198,6 @@ TEST(DistWire, HandshakeClockStampsRoundTrip)
     wire::Welcome welcome_back;
     ASSERT_TRUE(wire::decodeWelcome(welcome_back, wpayload));
     EXPECT_EQ(welcome_back.serverUnixUs, welcome.serverUnixUs);
-
-    wire::Welcome wlegacy;
-    ASSERT_TRUE(wire::decodeWelcome(
-        wlegacy,
-        std::string_view(wpayload.data(), wpayload.size() - 8)));
-    EXPECT_EQ(wlegacy.serverUnixUs, 0u);
 }
 
 TEST(DistWire, PushAckRoundTripWithAndWithoutTheta)

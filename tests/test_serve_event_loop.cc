@@ -3,17 +3,19 @@
  * Epoll event-loop front-end tests: wire round trips, frames split
  * across arbitrarily small reads, pipelined in-order responses,
  * half-closed sockets that still receive owed responses, slow-reader
- * backpressure that never stalls other clients, v1 client compat
- * (both hand-built frames and TcpClient's wire-version knob),
- * wrong-geometry drains (including one racing a half-close),
- * oversize-claim rejection, and the router-backed fleet front.
+ * backpressure that never stalls other clients, wrong-geometry
+ * drains (including one racing a half-close), oversize-claim and
+ * foreign- or retired-magic rejection, and the router-backed fleet
+ * front.
  */
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -138,30 +140,31 @@ struct RawClient
         return true;
     }
 
-    /** Read one response frame; fails on close or foreign magic.
-     * @p version_out reports the frame's wire version. */
+    /** True once the server has closed the connection: a clean EOF,
+     * or a reset when it closed with request bytes unread. Gives up
+     * after 10 s, so a server that keeps the connection fails the
+     * test instead of hanging it. */
     bool
-    readResponse(std::uint64_t &tag, Response &out, int &version_out)
+    closedByPeer()
     {
-        std::uint32_t magic = 0;
-        if (!recvAll(reinterpret_cast<std::uint8_t *>(&magic),
-                     sizeof(magic)))
+        timeval timeout{};
+        timeout.tv_sec = 10;
+        (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout));
+        std::uint8_t byte = 0;
+        const ssize_t n = ::recv(fd, &byte, 1, 0);
+        return n == 0 || (n < 0 && errno == ECONNRESET);
+    }
+
+    /** Read one response frame; fails on close or foreign magic. */
+    bool
+    readResponse(std::uint64_t &tag, Response &out)
+    {
+        std::uint8_t prefix[wire::kResponsePrefixBytes];
+        std::uint32_t num_probs = 0;
+        if (!recvAll(prefix, sizeof(prefix)) ||
+            !wire::decodeResponsePrefix(prefix, tag, out, num_probs))
             return false;
-        if (magic == wire::kResponseMagicV1)
-            version_out = 1;
-        else if (magic == wire::kResponseMagicV2)
-            version_out = 2;
-        else if (magic == wire::kResponseMagicV3)
-            version_out = 3;
-        else
-            return false;
-        std::vector<std::uint8_t> prefix(
-            wire::responsePrefixBytes(version_out) - sizeof(magic));
-        if (!recvAll(prefix.data(), prefix.size()))
-            return false;
-        const std::uint8_t *p = prefix.data();
-        const std::uint32_t num_probs =
-            wire::decodeResponseAfterMagic(p, version_out, tag, out);
         out.policy.resize(num_probs);
         return num_probs == 0 ||
                recvAll(reinterpret_cast<std::uint8_t *>(
@@ -197,8 +200,7 @@ TEST(ServeEventLoop, RoundTripMatchesInProcessSubmit)
     const Response direct = server.submitAndWait(obs);
     ASSERT_EQ(direct.status, Status::Ok);
 
-    // TcpClient speaks the newest wire version; the event loop must
-    // serve it identically to tcp.hh's thread-per-connection front.
+    // The wire answer must match the in-process one exactly.
     TcpClient client;
     ASSERT_TRUE(client.connect("127.0.0.1", loop.port()));
     Response wire_resp;
@@ -210,6 +212,7 @@ TEST(ServeEventLoop, RoundTripMatchesInProcessSubmit)
     ASSERT_EQ(wire_resp.policy.size(), direct.policy.size());
     for (std::size_t a = 0; a < wire_resp.policy.size(); ++a)
         EXPECT_FLOAT_EQ(wire_resp.policy[a], direct.policy[a]);
+    EXPECT_GT(wire_resp.totalUs, 0.0);
 
     client.close();
     loop.stop();
@@ -237,10 +240,8 @@ TEST(ServeEventLoop, FrameSplitAcrossManyReadsReassembles)
 
     std::uint64_t tag = 0;
     Response resp;
-    int version = 0;
-    ASSERT_TRUE(client.readResponse(tag, resp, version));
+    ASSERT_TRUE(client.readResponse(tag, resp));
     EXPECT_EQ(tag, 42u);
-    EXPECT_EQ(version, wire::kWireVersionLatest);
     EXPECT_EQ(resp.status, Status::Ok);
     loop.stop();
 }
@@ -275,8 +276,7 @@ TEST(ServeEventLoop, PipelinedRequestsAnswerInOrder)
     for (int i = 0; i < kBurst; ++i) {
         std::uint64_t tag = 0;
         Response resp;
-        int version = 0;
-        ASSERT_TRUE(client.readResponse(tag, resp, version));
+        ASSERT_TRUE(client.readResponse(tag, resp));
         EXPECT_EQ(tag, static_cast<std::uint64_t>(i + 1));
         EXPECT_EQ(resp.status, Status::Ok);
     }
@@ -313,8 +313,7 @@ TEST(ServeEventLoop, HalfCloseStillReceivesOwedResponses)
     for (int i = 0; i < 4; ++i) {
         std::uint64_t tag = 0;
         Response resp;
-        int version = 0;
-        ASSERT_TRUE(client.readResponse(tag, resp, version));
+        ASSERT_TRUE(client.readResponse(tag, resp));
         EXPECT_EQ(tag, static_cast<std::uint64_t>(100 + i));
         EXPECT_EQ(resp.status, Status::Ok);
     }
@@ -378,51 +377,12 @@ TEST(ServeEventLoop, SlowReaderDoesNotStallOtherClients)
     for (int i = 0; i < kBurst; ++i) {
         std::uint64_t tag = 0;
         Response resp;
-        int version = 0;
-        ASSERT_TRUE(slow.readResponse(tag, resp, version))
+        ASSERT_TRUE(slow.readResponse(tag, resp))
             << "response " << i << " never arrived";
         EXPECT_EQ(tag, static_cast<std::uint64_t>(i + 1));
         EXPECT_EQ(resp.status, Status::Ok);
     }
     feeder.join();
-    loop.stop();
-}
-
-TEST(ServeEventLoop, V1ClientIsAnsweredInV1)
-{
-    Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
-
-    EventLoopServer loop(server, EventLoopConfig{});
-    ASSERT_TRUE(loop.start());
-
-    RawClient client;
-    ASSERT_TRUE(client.connect(loop.port()));
-
-    // Hand-build a v1 request (encodeRequest always emits v2).
-    const tensor::Tensor obs = f.observation(0.7f);
-    std::vector<std::uint8_t> frame;
-    wire::put<std::uint32_t>(frame, wire::kRequestMagicV1);
-    wire::put<std::uint64_t>(frame, 7);
-    wire::put<std::uint32_t>(frame, 0);
-    wire::put<std::uint32_t>(frame,
-                             static_cast<std::uint32_t>(obs.numel()));
-    const auto *bytes =
-        reinterpret_cast<const std::uint8_t *>(obs.data().data());
-    frame.insert(frame.end(), bytes,
-                 bytes + obs.numel() * sizeof(float));
-    ASSERT_TRUE(client.sendAll(frame.data(), frame.size()));
-
-    std::uint64_t tag = 0;
-    Response resp;
-    int version = 0;
-    ASSERT_TRUE(client.readResponse(tag, resp, version));
-    EXPECT_EQ(version, 1) << "v1 request must get a v1 response";
-    EXPECT_EQ(tag, 7u);
-    EXPECT_EQ(resp.status, Status::Ok);
-    EXPECT_EQ(resp.retryAfterUs, 0u); // v1 frames carry no hint
     loop.stop();
 }
 
@@ -451,11 +411,10 @@ TEST(ServeEventLoop, WrongGeometryIsDrainedAndAnswered)
 
     std::uint64_t tag = 0;
     Response resp;
-    int version = 0;
-    ASSERT_TRUE(client.readResponse(tag, resp, version));
+    ASSERT_TRUE(client.readResponse(tag, resp));
     EXPECT_EQ(tag, 1u);
     EXPECT_EQ(resp.status, Status::RejectedBadRequest);
-    ASSERT_TRUE(client.readResponse(tag, resp, version));
+    ASSERT_TRUE(client.readResponse(tag, resp));
     EXPECT_EQ(tag, 2u);
     EXPECT_EQ(resp.status, Status::Ok);
     loop.stop();
@@ -486,8 +445,7 @@ TEST(ServeEventLoop, WrongGeometryThenHalfCloseInSameBatch)
     // The rejection is still owed and delivered, then a clean EOF.
     std::uint64_t tag = 0;
     Response resp;
-    int version = 0;
-    ASSERT_TRUE(client.readResponse(tag, resp, version));
+    ASSERT_TRUE(client.readResponse(tag, resp));
     EXPECT_EQ(tag, 9u);
     EXPECT_EQ(resp.status, Status::RejectedBadRequest);
     std::uint8_t byte = 0;
@@ -511,37 +469,16 @@ TEST(ServeEventLoop, OversizeNumelClaimClosesConnection)
     // A header claiming ~16 GB of observation floats must not hold
     // the connection in a discard loop: protocol error, hard close.
     std::vector<std::uint8_t> header;
-    wire::put<std::uint32_t>(header, wire::kRequestMagicV2);
+    wire::put<std::uint32_t>(header, wire::kRequestMagic);
     wire::put<std::uint64_t>(header, 1);
     wire::put<std::uint32_t>(header, 0);
     wire::put<std::uint32_t>(header, 0xFFFFFFFFu);
+    header.resize(wire::kRequestHeaderBytes); // zeroed trace block
     ASSERT_TRUE(client.sendAll(header.data(), header.size()));
 
     std::uint8_t byte = 0;
     EXPECT_EQ(::recv(client.fd, &byte, 1, 0), 0)
         << "oversize numel claim must close the connection";
-    loop.stop();
-}
-
-TEST(ServeEventLoop, ClientWireVersionKnobSpeaksV1)
-{
-    Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
-
-    EventLoopServer loop(server, EventLoopConfig{});
-    ASSERT_TRUE(loop.start());
-
-    // A client pinned to v1 (as it must be against a pre-v2 server)
-    // sends the v1 magic and decodes the v1 answer it gets back.
-    TcpClient client;
-    client.setWireVersion(1);
-    ASSERT_TRUE(client.connect("127.0.0.1", loop.port()));
-    Response resp;
-    ASSERT_TRUE(client.request(f.observation(0.8f), 0, resp));
-    EXPECT_EQ(resp.status, Status::Ok);
-    EXPECT_EQ(resp.retryAfterUs, 0u); // v1 frames carry no hint
     loop.stop();
 }
 
@@ -555,15 +492,37 @@ TEST(ServeEventLoop, BadMagicClosesConnection)
     EventLoopServer loop(server, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
-    RawClient client;
-    ASSERT_TRUE(client.connect(loop.port()));
+    // A foreign magic, then full frames under the retired v1
+    // (0xFA3C5E01) and v2 (0xFA3C5E11) request magics, whose 20-byte
+    // headers lack the trace block: each must close the connection
+    // rather than be misparsed as the current layout.
+    std::vector<std::vector<std::uint8_t>> inputs;
+    inputs.emplace_back(wire::kRequestHeaderBytes);
+    inputs.back()[0] = 0xde;
+    inputs.back()[1] = 0xad;
+    const tensor::Tensor obs = f.observation(0.7f);
+    const auto *obs_bytes =
+        reinterpret_cast<const std::uint8_t *>(obs.data().data());
+    for (const std::uint32_t magic : {0xFA3C5E01u, 0xFA3C5E11u}) {
+        std::vector<std::uint8_t> &frame = inputs.emplace_back();
+        wire::put<std::uint32_t>(frame, magic);
+        wire::put<std::uint64_t>(frame, 7);
+        wire::put<std::uint32_t>(frame, 0);
+        wire::put<std::uint32_t>(
+            frame, static_cast<std::uint32_t>(obs.numel()));
+        frame.insert(frame.end(), obs_bytes,
+                     obs_bytes + obs.numel() * sizeof(float));
+    }
 
-    std::uint8_t junk[wire::kRequestHeaderBytes] = {0xde, 0xad};
-    ASSERT_TRUE(client.sendAll(junk, sizeof(junk)));
-
-    std::uint8_t byte = 0;
-    EXPECT_EQ(::recv(client.fd, &byte, 1, 0), 0)
-        << "bad magic must close the connection";
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        RawClient client;
+        ASSERT_TRUE(client.connect(loop.port()));
+        // The send may fail part-way once the server has closed.
+        (void)client.sendAll(inputs[i].data(), inputs[i].size());
+        EXPECT_TRUE(client.closedByPeer())
+            << "input " << i << " must close the connection";
+    }
+    EXPECT_EQ(loop.requestsReceived(), 0u);
     loop.stop();
 }
 

@@ -1,20 +1,33 @@
-/** @file TCP front-end round trips against the in-process API. */
+/** @file
+ * TcpClient against the epoll front-end: rejected requests that keep
+ * the connection, concurrent connections batched server-side, trace
+ * context carried across the wire, and a client that closes its
+ * socket once a response breaks framing.
+ */
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "net/frame.hh"
 #include "obs/export_guard.hh"
 #include "obs/json.hh"
 #include "obs/span.hh"
 #include "obs/trace.hh"
+#include "serve/event_loop.hh"
 #include "serve/tcp.hh"
+#include "serve/wire.hh"
 
 using namespace fa3c;
 using namespace fa3c::serve;
@@ -42,16 +55,35 @@ readTraceFile()
     return body.str();
 }
 
-std::size_t
-countOccurrences(const std::string &haystack,
-                 const std::string &needle)
+/** True when some span event named @p name in the trace @p body
+ * carries every arg in @p args. Events are flat objects whose args
+ * block closes them, so an event's text runs from its name to the
+ * first "}}". */
+bool
+spanWithArgs(const std::string &body, const std::string &name,
+             const std::vector<std::string> &args)
 {
-    std::size_t n = 0;
-    for (std::size_t pos = haystack.find(needle);
-         pos != std::string::npos;
-         pos = haystack.find(needle, pos + 1))
-        ++n;
-    return n;
+    const std::string key = "\"name\":\"" + name + '"';
+    for (std::size_t pos = body.find(key); pos != std::string::npos;
+         pos = body.find(key, pos + 1)) {
+        const std::string event =
+            body.substr(pos, body.find("}}", pos) - pos);
+        bool all = true;
+        for (const std::string &arg : args)
+            all = all && event.find(arg) != std::string::npos;
+        if (all)
+            return true;
+    }
+    return false;
+}
+
+/** One id arg as emitSpan writes it; the ',' ends the number, since
+ * the ids precede each span's own args. */
+std::string
+idArg(const char *key, std::uint64_t id)
+{
+    return std::string("\"") + key +
+           "\":" + obs::jsonNumber(static_cast<double>(id)) + ',';
 }
 
 struct Fixture
@@ -90,39 +122,6 @@ struct Fixture
 
 } // namespace
 
-TEST(ServeTcp, RoundTripMatchesInProcessSubmit)
-{
-    Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
-
-    TcpServer tcp(server, TcpConfig{}); // ephemeral port
-    ASSERT_TRUE(tcp.start());
-    ASSERT_NE(tcp.port(), 0);
-
-    const tensor::Tensor obs = f.observation(0.9f);
-    const Response direct = server.submitAndWait(obs);
-    ASSERT_EQ(direct.status, Status::Ok);
-
-    TcpClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", tcp.port()));
-    Response wire;
-    ASSERT_TRUE(client.request(obs, 0, wire));
-    EXPECT_EQ(wire.status, Status::Ok);
-    EXPECT_EQ(wire.action, direct.action);
-    EXPECT_FLOAT_EQ(wire.value, direct.value);
-    EXPECT_EQ(wire.modelVersion, direct.modelVersion);
-    ASSERT_EQ(wire.policy.size(), direct.policy.size());
-    for (std::size_t a = 0; a < wire.policy.size(); ++a)
-        EXPECT_FLOAT_EQ(wire.policy[a], direct.policy[a]);
-    EXPECT_GT(wire.totalUs, 0.0);
-
-    client.close();
-    tcp.stop();
-    EXPECT_EQ(tcp.connectionsAccepted(), 1u);
-}
-
 TEST(ServeTcp, WrongObservationSizeIsAnsweredNotDropped)
 {
     Fixture f;
@@ -130,11 +129,11 @@ TEST(ServeTcp, WrongObservationSizeIsAnsweredNotDropped)
     server.publish(f.params);
     server.start();
 
-    TcpServer tcp(server, TcpConfig{});
-    ASSERT_TRUE(tcp.start());
+    EventLoopServer loop(server, EventLoopConfig{});
+    ASSERT_TRUE(loop.start());
 
     TcpClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", tcp.port()));
+    ASSERT_TRUE(client.connect("127.0.0.1", loop.port()));
     tensor::Tensor bad(tensor::Shape({7}));
     Response wire;
     ASSERT_TRUE(client.request(bad, 0, wire));
@@ -145,7 +144,7 @@ TEST(ServeTcp, WrongObservationSizeIsAnsweredNotDropped)
     ASSERT_TRUE(client.request(f.observation(1.0f), 0, good));
     EXPECT_EQ(good.status, Status::Ok);
 
-    tcp.stop();
+    loop.stop();
 }
 
 TEST(ServeTcp, ManyConnectionsBatchServerSide)
@@ -155,19 +154,19 @@ TEST(ServeTcp, ManyConnectionsBatchServerSide)
     server.publish(f.params);
     server.start();
 
-    TcpServer tcp(server, TcpConfig{});
-    ASSERT_TRUE(tcp.start());
+    EventLoopServer loop(server, EventLoopConfig{});
+    ASSERT_TRUE(loop.start());
 
     constexpr int kClients = 6;
     constexpr int kRequests = 25;
     std::vector<std::thread> threads;
     std::atomic<int> ok{0};
     for (int c = 0; c < kClients; ++c) {
-        threads.emplace_back([&f, &tcp, &ok, c] {
+        threads.emplace_back([&f, &loop, &ok, c] {
             // Failures surface as a final ok-count mismatch (gtest
             // ASSERTs only abort the calling function off-thread).
             TcpClient client;
-            if (!client.connect("127.0.0.1", tcp.port()))
+            if (!client.connect("127.0.0.1", loop.port()))
                 return;
             const tensor::Tensor obs =
                 f.observation(0.5f + 0.1f * static_cast<float>(c));
@@ -182,16 +181,16 @@ TEST(ServeTcp, ManyConnectionsBatchServerSide)
     for (auto &t : threads)
         t.join();
     EXPECT_EQ(ok.load(), kClients * kRequests);
-    EXPECT_EQ(tcp.connectionsAccepted(),
+    EXPECT_EQ(loop.connectionsAccepted(),
               static_cast<std::uint64_t>(kClients));
-    tcp.stop();
+    loop.stop();
 
     const sim::StatGroup stats = server.statsSnapshot();
     EXPECT_EQ(stats.counterValue("served"),
               static_cast<std::uint64_t>(kClients * kRequests));
 }
 
-TEST(ServeTcp, V3PropagatesTraceContextAcrossTheWire)
+TEST(ServeTcp, PropagatesTraceContextAcrossTheWire)
 {
     ASSERT_NE(obs::trace(), nullptr)
         << "static init should have enabled FA3C_TRACE";
@@ -201,59 +200,94 @@ TEST(ServeTcp, V3PropagatesTraceContextAcrossTheWire)
     server.publish(f.params);
     server.start();
 
-    TcpServer tcp(server, TcpConfig{});
-    ASSERT_TRUE(tcp.start());
+    EventLoopServer loop(server, EventLoopConfig{});
+    ASSERT_TRUE(loop.start());
 
     TcpClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", tcp.port()));
+    ASSERT_TRUE(client.connect("127.0.0.1", loop.port()));
     Response r;
     ASSERT_TRUE(client.request(f.observation(0.7f), 0, r));
     EXPECT_EQ(r.status, Status::Ok);
 
-    // The client minted a sampled root context and sent it in the v3
-    // trace block...
+    // The client minted a sampled root context and sent it in the
+    // request's trace block...
     const obs::SpanContext span = client.lastSpan();
     EXPECT_NE(span.trace, 0u);
     EXPECT_TRUE(span.sampled);
 
     client.close();
-    tcp.stop(); // joins the connection thread -> server span emitted
+    loop.stop(); // the front emits its span before it answers
     obs::trace()->flush();
 
-    // ...and the SAME trace id must appear on both the client span
-    // ("client.request") and the server span ("tcp.request"). Both
-    // sides format ids through jsonNumber, so an exact substring
-    // match is well defined.
+    // ...so the client span ("client.request") and the front-end span
+    // ("frontend.request") share its trace id, and the front-end span
+    // is the client span's child. Both sides format ids through
+    // jsonNumber, so an exact substring match is well defined.
     const std::string body = readTraceFile();
-    const std::string needle =
-        "\"trace_id\":" +
-        obs::jsonNumber(static_cast<double>(span.trace));
-    EXPECT_GE(countOccurrences(body, needle), 2u)
-        << "trace id " << span.trace
-        << " not found on both sides of the wire";
+    EXPECT_TRUE(spanWithArgs(body, "client.request",
+                             {idArg("trace_id", span.trace),
+                              idArg("span_id", span.span)}))
+        << "client span for trace " << span.trace << " not found";
+    EXPECT_TRUE(spanWithArgs(body, "frontend.request",
+                             {idArg("trace_id", span.trace),
+                              idArg("parent_id", span.span)}))
+        << "front-end span for trace " << span.trace
+        << " not found under the client span";
 }
 
-TEST(ServeTcp, OldWireVersionsStillAnswered)
+TEST(ServeTcp, ForeignResponseMagicClosesTheClient)
 {
-    Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    // A raw listener answers one request with a complete response
+    // frame under the retired v2 response magic (0xFA3C5E12).
+    const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listen_fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t addr_len = sizeof(addr);
+    ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listen_fd, 1), 0);
+    ASSERT_EQ(::getsockname(listen_fd,
+                            reinterpret_cast<sockaddr *>(&addr),
+                            &addr_len),
+              0);
 
-    TcpServer tcp(server, TcpConfig{});
-    ASSERT_TRUE(tcp.start());
+    // Connected through the listen backlog before the peer thread
+    // exists, so no failed ASSERT can leave that thread unjoined.
+    TcpClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", ntohs(addr.sin_port)));
 
-    for (int version : {1, 2}) {
-        TcpClient client;
-        client.setWireVersion(version);
-        ASSERT_TRUE(client.connect("127.0.0.1", tcp.port()));
-        Response r;
-        ASSERT_TRUE(client.request(f.observation(0.4f), 0, r))
-            << "v" << version << " request failed";
-        EXPECT_EQ(r.status, Status::Ok);
-        // Pre-v3 frames have no trace block; no context is minted.
-        EXPECT_EQ(client.lastSpan().trace, 0u);
-        client.close();
-    }
-    tcp.stop();
+    const tensor::Tensor obs(tensor::Shape({4}));
+    std::thread peer([listen_fd, &obs] {
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        std::vector<std::uint8_t> request(wire::kRequestHeaderBytes +
+                                          obs.numel() * sizeof(float));
+        std::vector<std::uint8_t> reply;
+        Response resp;
+        resp.status = Status::Ok;
+        wire::encodeResponse(reply, 1, resp);
+        const std::uint32_t retired = 0xFA3C5E12;
+        std::memcpy(reply.data(), &retired, sizeof(retired));
+        if (net::readFull(fd, request.data(), request.size()))
+            (void)net::writeFull(fd, reply.data(), reply.size());
+        // Hold the stream open until the client hangs up, so its
+        // failure comes from the magic, not from an EOF.
+        std::uint8_t byte = 0;
+        while (::recv(fd, &byte, 1, 0) > 0) {
+        }
+        ::close(fd);
+    });
+
+    Response r;
+    EXPECT_FALSE(client.request(obs, 0, r));
+    // The frame boundary is lost, so the stream must not be reused.
+    EXPECT_FALSE(client.connected());
+
+    client.close();
+    peer.join();
+    ::close(listen_fd);
 }
