@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -12,6 +13,17 @@
 #include "sim/logging.hh"
 
 namespace fa3c::dist {
+
+namespace {
+
+/** A small encoded message as sendFrame parts. */
+std::array<net::Part, 1>
+onePart(const std::string &payload)
+{
+    return {std::as_bytes(std::span(payload))};
+}
+
+} // namespace
 
 PsClient::~PsClient()
 {
@@ -53,20 +65,20 @@ PsClient::connect(const std::string &host, int port)
 }
 
 bool
-PsClient::request(wire::Type type, const std::string &payload,
-                  wire::Type want, std::string &reply)
+PsClient::request(wire::Type type, std::span<const net::Part> payload,
+                  wire::Type want, std::size_t expect_count)
 {
     if (fd_ < 0)
         return false;
     if (!net::sendFrame(fd_, wire::kMagic,
-                        static_cast<std::uint32_t>(type),
-                        payload.data(), payload.size())) {
+                        static_cast<std::uint32_t>(type), payload)) {
         close();
         return false;
     }
     std::uint32_t got = 0;
-    if (!net::recvFrame(fd_, wire::kMagic, wire::kMaxPayloadBytes,
-                        got, reply) ||
+    if (!net::recvFrame(fd_, wire::kMagic,
+                        wire::maxReplyBytes(expect_count), got,
+                        reply_) ||
         got != static_cast<std::uint32_t>(want)) {
         close();
         return false;
@@ -77,11 +89,11 @@ PsClient::request(wire::Type type, const std::string &payload,
 bool
 PsClient::hello(const wire::Hello &msg, wire::Welcome &out)
 {
-    std::string payload, reply;
+    std::string payload;
     wire::encodeHello(payload, msg);
-    if (!request(wire::Type::Hello, payload, wire::Type::Welcome,
-                 reply) ||
-        !wire::decodeWelcome(out, reply)) {
+    if (!request(wire::Type::Hello, onePart(payload),
+                 wire::Type::Welcome) ||
+        !wire::decodeWelcome(out, reply_)) {
         close();
         return false;
     }
@@ -93,16 +105,16 @@ PsClient::hello(const wire::Hello &msg, wire::Welcome &out)
 }
 
 bool
-PsClient::pull(wire::Params &out, std::size_t expect_count,
+PsClient::pull(wire::Params &out, std::span<float> theta,
                const wire::TraceCtx &trace)
 {
-    std::string payload, reply;
+    std::string payload;
     wire::Pull msg;
     msg.trace = trace;
     wire::encodePull(payload, msg);
-    if (!request(wire::Type::Pull, payload, wire::Type::Params,
-                 reply) ||
-        !wire::decodeParams(out, reply, expect_count)) {
+    if (!request(wire::Type::Pull, onePart(payload), wire::Type::Params,
+                 theta.size()) ||
+        !wire::decodeParams(out, reply_, theta)) {
         close();
         return false;
     }
@@ -111,13 +123,13 @@ PsClient::pull(wire::Params &out, std::size_t expect_count,
 
 bool
 PsClient::push(const wire::Push &msg, wire::PushAck &out,
-               std::size_t expect_count)
+               std::span<float> theta)
 {
-    std::string payload, reply;
+    wire::Gather payload;
     wire::encodePush(payload, msg);
-    if (!request(wire::Type::Push, payload, wire::Type::PushAck,
-                 reply) ||
-        !wire::decodePushAck(out, reply, expect_count)) {
+    if (!request(wire::Type::Push, payload.parts(),
+                 wire::Type::PushAck, theta.size()) ||
+        !wire::decodePushAck(out, reply_, theta)) {
         close();
         return false;
     }
@@ -129,11 +141,11 @@ PsClient::heartbeat(std::uint64_t worker_id, wire::HeartbeatAck &out)
 {
     wire::Heartbeat hb;
     hb.workerId = worker_id;
-    std::string payload, reply;
+    std::string payload;
     wire::encodeHeartbeat(payload, hb);
-    if (!request(wire::Type::Heartbeat, payload,
-                 wire::Type::HeartbeatAck, reply) ||
-        !wire::decodeHeartbeatAck(out, reply)) {
+    if (!request(wire::Type::Heartbeat, onePart(payload),
+                 wire::Type::HeartbeatAck) ||
+        !wire::decodeHeartbeatAck(out, reply_)) {
         close();
         return false;
     }
@@ -143,10 +155,8 @@ PsClient::heartbeat(std::uint64_t worker_id, wire::HeartbeatAck &out)
 bool
 PsClient::stats(wire::StatsReply &out)
 {
-    std::string reply;
-    if (!request(wire::Type::Stats, std::string(),
-                 wire::Type::StatsReply, reply) ||
-        !wire::decodeStatsReply(out, reply)) {
+    if (!request(wire::Type::Stats, {}, wire::Type::StatsReply) ||
+        !wire::decodeStatsReply(out, reply_)) {
         close();
         return false;
     }

@@ -10,15 +10,24 @@
  * the connection in a dead state; the caller reconnects and re-Hellos
  * (the elastic-rejoin path) rather than trying to resynchronize a
  * half-spoken conversation.
+ *
+ * Push and Pull move the parameter vector without staging copies:
+ * the gradients are sent in place from the caller's span, each reply
+ * lands in one receive buffer the client reuses, and theta is
+ * decoded from it straight into the caller's span once the reply has
+ * validated. A reply may be no longer than the expected count allows
+ * (wire::maxReplyBytes).
  */
 
 #ifndef FA3C_DIST_PS_CLIENT_HH
 #define FA3C_DIST_PS_CLIENT_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "dist/wire.hh"
+#include "net/frame.hh"
 
 namespace fa3c::dist {
 
@@ -43,14 +52,16 @@ class PsClient
      * 0) as well as on transport failure. */
     bool hello(const wire::Hello &msg, wire::Welcome &out);
 
-    /** Fetch the full parameter image. @p trace rides on the frame
-     * so the PS can parent its ps.pull span under the caller. */
-    bool pull(wire::Params &out, std::size_t expect_count,
+    /** Fetch the full parameter image into @p theta, whose size is
+     * the expected count. @p trace rides on the frame so the PS can
+     * parent its ps.pull span under the caller. */
+    bool pull(wire::Params &out, std::span<float> theta,
               const wire::TraceCtx &trace = {});
 
-    /** Push gradients; @p expect_count validates the ack's theta. */
+    /** Push msg.grads; the ack's theta, if any, is decoded into
+     * @p theta, whose size is the expected count. */
     bool push(const wire::Push &msg, wire::PushAck &out,
-              std::size_t expect_count);
+              std::span<float> theta);
 
     bool heartbeat(std::uint64_t worker_id, wire::HeartbeatAck &out);
 
@@ -61,10 +72,12 @@ class PsClient
 
   private:
     int fd_ = -1;
+    std::string reply_; ///< receive buffer, reused by every RPC
 
-    /** Send one frame and receive one @p want-typed reply. */
-    bool request(wire::Type type, const std::string &payload,
-                 wire::Type want, std::string &reply);
+    /** Send one frame and receive one @p want-typed reply into
+     * reply_; @p expect_count bounds the reply's length. */
+    bool request(wire::Type type, std::span<const net::Part> payload,
+                 wire::Type want, std::size_t expect_count = 0);
 };
 
 } // namespace fa3c::dist

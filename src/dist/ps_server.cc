@@ -37,6 +37,14 @@ sendMsg(int fd, wire::Type type, const std::string &payload)
                           payload.data(), payload.size());
 }
 
+bool
+sendMsg(int fd, wire::Type type, const wire::Gather &payload)
+{
+    return net::sendFrame(fd, wire::kMagic,
+                          static_cast<std::uint32_t>(type),
+                          payload.parts());
+}
+
 } // namespace
 
 PsServer::PsServer(const nn::A3cNetwork &net,
@@ -181,16 +189,16 @@ PsServer::stop()
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    std::vector<std::thread> threads;
+    std::map<std::uint64_t, std::thread> threads;
     {
         std::lock_guard<std::mutex> lock(connMutex_);
         for (int fd : connFds_)
             ::shutdown(fd, SHUT_RDWR);
         threads.swap(connThreads_);
+        endedConns_.clear();
     }
-    for (auto &t : threads)
-        if (t.joinable())
-            t.join();
+    for (auto &[id, t] : threads)
+        t.join();
     if (housekeeper_.joinable())
         housekeeper_.join();
     // All appliers are gone; this image is the run's final word.
@@ -283,9 +291,24 @@ PsServer::acceptMain()
             return;
         }
         net::setNoDelay(fd);
-        std::lock_guard<std::mutex> lock(connMutex_);
-        connFds_.push_back(fd);
-        connThreads_.emplace_back([this, fd] { connectionMain(fd); });
+        // Reap the threads of connections that have ended since the
+        // last accept: each holds a stack until it is joined.
+        std::vector<std::thread> ended;
+        {
+            std::lock_guard<std::mutex> lock(connMutex_);
+            for (std::uint64_t id : endedConns_) {
+                auto it = connThreads_.find(id);
+                ended.push_back(std::move(it->second));
+                connThreads_.erase(it);
+            }
+            endedConns_.clear();
+            const std::uint64_t id = nextConnId_++;
+            connFds_.push_back(fd);
+            connThreads_.emplace(
+                id, std::thread([this, fd, id] { connectionMain(fd, id); }));
+        }
+        for (auto &t : ended)
+            t.join();
     }
 }
 
@@ -335,11 +358,10 @@ PsServer::handleHello(int fd, const std::string &payload,
 }
 
 void
-PsServer::handlePull(int fd, const std::string &payload,
-                     bool &proto_ok)
+PsServer::handlePull(int fd, ConnBuffers &buf, bool &proto_ok)
 {
     wire::Pull pull;
-    if (!wire::decodePull(pull, payload)) {
+    if (!wire::decodePull(pull, buf.payload)) {
         proto_ok = false;
         return;
     }
@@ -348,7 +370,8 @@ PsServer::handlePull(int fd, const std::string &payload,
     const auto t0 = Clock::now();
     wire::Params reply;
     reply.version = params_.version();
-    params_.snapshot(reply.theta);
+    params_.snapshot(buf.theta);
+    reply.theta = buf.theta;
     reply.steps = params_.steps();
     reply.stop = done() ? 1 : 0;
     obs::metrics().count("dist", "pulls");
@@ -358,17 +381,17 @@ PsServer::handlePull(int fd, const std::string &payload,
         obs::emitSpan(span, "dist.ps", "ps.pull", t0, Clock::now(),
                       args);
     }
-    std::string out;
+    wire::Gather out;
     wire::encodeParams(out, reply);
     proto_ok = sendMsg(fd, wire::Type::Params, out);
 }
 
 void
-PsServer::handlePush(int fd, const std::string &payload,
-                     bool &proto_ok)
+PsServer::handlePush(int fd, ConnBuffers &buf, bool &proto_ok)
 {
+    buf.grads.resize(params_.paramCount());
     wire::Push push;
-    if (!wire::decodePush(push, payload, params_.paramCount())) {
+    if (!wire::decodePush(push, buf.payload, buf.grads)) {
         proto_ok = false;
         return;
     }
@@ -427,9 +450,11 @@ PsServer::handlePush(int fd, const std::string &payload,
     }
     ack.steps = params_.steps();
     ack.stop = done() ? 1 : 0;
-    if (push.wantParams)
-        params_.snapshot(ack.theta);
-    std::string out;
+    if (push.wantParams) {
+        params_.snapshot(buf.theta);
+        ack.theta = buf.theta;
+    }
+    wire::Gather out;
     wire::encodePushAck(out, ack);
     proto_ok = sendMsg(fd, wire::Type::PushAck, out);
 }
@@ -460,7 +485,7 @@ PsServer::handleStats(int fd, bool &proto_ok)
 }
 
 void
-PsServer::connectionMain(int fd)
+PsServer::connectionMain(int fd, std::uint64_t conn_id)
 {
     // The lease granted to a Hello on THIS connection; if the
     // connection dies while the lease is live, the worker is gone and
@@ -470,21 +495,24 @@ PsServer::connectionMain(int fd)
     std::uint64_t owned_lease = 0;
 
     std::uint32_t type = 0;
-    std::string payload;
+    ConnBuffers buf;
+    const std::uint32_t max_payload =
+        wire::maxRequestBytes(params_.paramCount());
+    const std::string &payload = buf.payload;
     bool proto_ok = true;
     while (proto_ok && !stopping_.load(std::memory_order_relaxed)) {
-        if (!net::recvFrame(fd, wire::kMagic, wire::kMaxPayloadBytes,
-                            type, payload))
+        if (!net::recvFrame(fd, wire::kMagic, max_payload, type,
+                            buf.payload))
             break;
         switch (static_cast<wire::Type>(type)) {
         case wire::Type::Hello:
             handleHello(fd, payload, owned_lease, proto_ok);
             break;
         case wire::Type::Pull:
-            handlePull(fd, payload, proto_ok);
+            handlePull(fd, buf, proto_ok);
             break;
         case wire::Type::Push:
-            handlePush(fd, payload, proto_ok);
+            handlePush(fd, buf, proto_ok);
             break;
         case wire::Type::Heartbeat:
             handleHeartbeat(fd, payload, proto_ok);
@@ -526,6 +554,7 @@ PsServer::connectionMain(int fd)
             break;
         }
     }
+    endedConns_.push_back(conn_id);
 }
 
 void

@@ -18,6 +18,15 @@
  * Training ends when the global step counter crosses
  * PsServerConfig::totalSteps: every subsequent ack carries stop=1, so
  * workers drain and exit, and waitDone() unblocks the launcher.
+ *
+ * Each connection thread keeps its receive buffer, a gradient scratch
+ * vector and a theta snapshot across frames, so a steady stream of
+ * pushes allocates nothing: a Push is decoded into the scratch (the
+ * one copy RMSProp needs, as the wire run is unaligned), and the ack
+ * is sent as its fixed fields plus the snapshot, gathered in place.
+ * A frame longer than a full Push for this layout is refused from its
+ * header alone (wire::maxRequestBytes). A connection's thread is
+ * joined when the next connection is accepted after it ends.
  */
 
 #ifndef FA3C_DIST_PS_SERVER_HH
@@ -27,6 +36,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -130,8 +140,10 @@ class PsServer
     std::atomic<bool> done_{false};
 
     std::mutex connMutex_;
-    std::vector<int> connFds_;
-    std::vector<std::thread> connThreads_;
+    std::vector<int> connFds_; ///< open connections, shut by stop()
+    std::uint64_t nextConnId_ = 0;
+    std::map<std::uint64_t, std::thread> connThreads_;
+    std::vector<std::uint64_t> endedConns_; ///< threads to join
 
     std::mutex doneMutex_;
     std::condition_variable doneCv_;
@@ -143,8 +155,16 @@ class PsServer
 
     obs::TelemetryRegistration telemetry_;
 
+    /** Buffers one connection reuses across frames. */
+    struct ConnBuffers
+    {
+        std::string payload;      ///< last received frame payload
+        std::vector<float> grads; ///< decoded Push gradients
+        std::vector<float> theta; ///< snapshot sent on Params/PushAck
+    };
+
     void acceptMain();
-    void connectionMain(int fd);
+    void connectionMain(int fd, std::uint64_t conn_id);
     void housekeeperMain();
     void markDone();
     bool writeCheckpoint();
@@ -152,10 +172,8 @@ class PsServer
 
     void handleHello(int fd, const std::string &payload,
                      std::uint64_t &owned_lease, bool &proto_ok);
-    void handlePull(int fd, const std::string &payload,
-                    bool &proto_ok);
-    void handlePush(int fd, const std::string &payload,
-                    bool &proto_ok);
+    void handlePull(int fd, ConnBuffers &buf, bool &proto_ok);
+    void handlePush(int fd, ConnBuffers &buf, bool &proto_ok);
     void handleHeartbeat(int fd, const std::string &payload,
                          bool &proto_ok);
     void handleStats(int fd, bool &proto_ok);

@@ -1,35 +1,95 @@
 #include "dist/wire.hh"
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
+#include "sim/logging.hh"
 #include "sim/serial.hh"
 
 namespace fa3c::dist::wire {
 
 namespace {
 
-void
-writeFloats(sim::ByteWriter &w, const std::vector<float> &v)
+// Fixed-field bytes around each message's f32 run; the u32 count
+// prefix is part of the head.
+constexpr std::size_t kParamsHeadBytes = 8 + 8 + 1 + 4;
+constexpr std::size_t kPushHeadBytes = 8 + 8 + 8 + 1 + 4;
+constexpr std::size_t kTraceCtxBytes = 8 + 8 + 1;
+constexpr std::size_t kPushAckHeadBytes = 1 + 1 + 8 + 8 + 8 + 4;
+// Largest reply without a run (StatsReply; Welcome is 52 bytes,
+// HeartbeatAck 2).
+constexpr std::size_t kStatsReplyBytes = 7 * 8 + 4;
+
+static_assert(kPushHeadBytes <= sizeof(Gather::head) &&
+              kPushAckHeadBytes <= sizeof(Gather::head) &&
+              kParamsHeadBytes <= sizeof(Gather::head) &&
+              kTraceCtxBytes <= sizeof(Gather::tail));
+
+std::uint32_t
+clampU32(std::size_t n)
 {
-    w.write(static_cast<std::uint32_t>(v.size()));
-    if (!v.empty())
-        w.writeRaw(v.data(), v.size() * sizeof(float));
+    return static_cast<std::uint32_t>(std::min<std::size_t>(
+        n, std::numeric_limits<std::uint32_t>::max()));
 }
 
-/** Read a float run; the count must be exactly 0 or @p expect. */
-bool
-readFloats(sim::ByteReader &r, std::vector<float> &v,
-           std::size_t expect)
+/** Appends fixed fields to a Gather's head or tail array. */
+class FieldWriter
 {
+  public:
+    explicit FieldWriter(std::span<std::byte> out) : out_(out) {}
+
+    template <typename T>
+    FieldWriter &
+    put(T v)
+    {
+        FA3C_ASSERT(sizeof(T) <= out_.size() - size_,
+                    "dist wire: fixed fields overflow the gather head");
+        std::memcpy(out_.data() + size_, &v, sizeof(T));
+        size_ += sizeof(T);
+        return *this;
+    }
+
+    std::size_t size() const { return size_; }
+
+  private:
+    std::span<std::byte> out_;
+    std::size_t size_ = 0;
+};
+
+/** Encode a run's count prefix and borrow the run into @p out. */
+void
+putRun(FieldWriter &w, Gather &out, std::span<const float> run)
+{
+    w.put(static_cast<std::uint32_t>(run.size()));
+    out.run = run;
+}
+
+/** Validated position of a decoded f32 run inside its payload. */
+struct RunView
+{
+    const char *bytes = nullptr;
     std::uint32_t count = 0;
-    if (!r.read(count))
-        return false;
-    if (count != 0 && count != expect)
-        return false;
-    if (static_cast<std::size_t>(count) * sizeof(float) >
-        r.remaining())
-        return false;
-    v.resize(count);
-    return count == 0 ||
-           r.readRaw(v.data(), count * sizeof(float));
+};
+
+/** Step over a run; its count must be exactly 0 or @p expect. */
+bool
+readRun(sim::ByteReader &r, std::size_t expect, RunView &run)
+{
+    return r.read(run.count) &&
+           (run.count == 0 || run.count == expect) &&
+           r.view(std::size_t{run.count} * sizeof(float), run.bytes);
+}
+
+/** Copy a validated run into @p dest (sized to the expected count);
+ * @return the span the decoded message keeps. */
+std::span<const float>
+copyRun(const RunView &run, std::span<float> dest)
+{
+    if (run.count == 0)
+        return {};
+    std::memcpy(dest.data(), run.bytes, run.count * sizeof(float));
+    return dest.first(run.count);
 }
 
 /** Decode must consume the whole payload: trailing bytes mean a
@@ -55,6 +115,21 @@ readTraceCtx(sim::ByteReader &r, TraceCtx &t)
 }
 
 } // namespace
+
+std::uint32_t
+maxRequestBytes(std::size_t count)
+{
+    return clampU32(kPushHeadBytes + count * sizeof(float) +
+                    kTraceCtxBytes);
+}
+
+std::uint32_t
+maxReplyBytes(std::size_t count)
+{
+    static_assert(kParamsHeadBytes <= kPushAckHeadBytes);
+    return clampU32(std::max(kStatsReplyBytes,
+                             kPushAckHeadBytes + count * sizeof(float)));
+}
 
 std::uint32_t
 layoutCrc(const nn::ParamSet &params)
@@ -127,70 +202,84 @@ decodePull(Pull &m, std::string_view payload)
 }
 
 void
-encodeParams(std::string &out, const Params &m)
+encodeParams(Gather &out, const Params &m)
 {
-    sim::ByteWriter w;
-    w.write(m.version);
-    w.write(m.steps);
-    w.write(m.stop);
-    writeFloats(w, m.theta);
-    out = w.bytes();
+    FieldWriter w(out.head);
+    w.put(m.version).put(m.steps).put(m.stop);
+    putRun(w, out, m.theta);
+    out.headLen = w.size();
+    out.tailLen = 0;
 }
 
 bool
 decodeParams(Params &m, std::string_view payload,
-             std::size_t expect_count)
+             std::span<float> theta)
 {
     sim::ByteReader r(payload);
-    return r.read(m.version) && r.read(m.steps) && r.read(m.stop) &&
-           readFloats(r, m.theta, expect_count) && finish(r);
+    Params got;
+    RunView run;
+    if (!(r.read(got.version) && r.read(got.steps) && r.read(got.stop) &&
+          readRun(r, theta.size(), run) && finish(r)))
+        return false;
+    got.theta = copyRun(run, theta);
+    m = got;
+    return true;
 }
 
 void
-encodePush(std::string &out, const Push &m)
+encodePush(Gather &out, const Push &m)
 {
-    sim::ByteWriter w;
-    w.write(m.workerId);
-    w.write(m.baseVersion);
-    w.write(m.steps);
-    w.write(m.wantParams);
-    writeFloats(w, m.grads);
-    writeTraceCtx(w, m.trace);
-    out = w.bytes();
+    FieldWriter w(out.head);
+    w.put(m.workerId).put(m.baseVersion).put(m.steps).put(m.wantParams);
+    putRun(w, out, m.grads);
+    out.headLen = w.size();
+    FieldWriter t(out.tail);
+    t.put(m.trace.traceId).put(m.trace.spanId).put(m.trace.sampled);
+    out.tailLen = t.size();
 }
 
 bool
-decodePush(Push &m, std::string_view payload, std::size_t expect_count)
+decodePush(Push &m, std::string_view payload, std::span<float> grads)
 {
     sim::ByteReader r(payload);
-    return r.read(m.workerId) && r.read(m.baseVersion) &&
-           r.read(m.steps) && r.read(m.wantParams) &&
-           readFloats(r, m.grads, expect_count) &&
-           readTraceCtx(r, m.trace) && finish(r);
+    Push got;
+    RunView run;
+    if (!(r.read(got.workerId) && r.read(got.baseVersion) &&
+          r.read(got.steps) && r.read(got.wantParams) &&
+          readRun(r, grads.size(), run) && readTraceCtx(r, got.trace) &&
+          finish(r)))
+        return false;
+    got.grads = copyRun(run, grads);
+    m = got;
+    return true;
 }
 
 void
-encodePushAck(std::string &out, const PushAck &m)
+encodePushAck(Gather &out, const PushAck &m)
 {
-    sim::ByteWriter w;
-    w.write(m.accepted);
-    w.write(m.stop);
-    w.write(m.version);
-    w.write(m.steps);
-    w.write(m.staleness);
-    writeFloats(w, m.theta);
-    out = w.bytes();
+    FieldWriter w(out.head);
+    w.put(m.accepted).put(m.stop).put(m.version).put(m.steps).put(
+        m.staleness);
+    putRun(w, out, m.theta);
+    out.headLen = w.size();
+    out.tailLen = 0;
 }
 
 bool
 decodePushAck(PushAck &m, std::string_view payload,
-              std::size_t expect_count)
+              std::span<float> theta)
 {
     sim::ByteReader r(payload);
-    return r.read(m.accepted) && r.read(m.stop) &&
-           r.read(m.version) && r.read(m.steps) &&
-           r.read(m.staleness) &&
-           readFloats(r, m.theta, expect_count) && finish(r);
+    PushAck got;
+    RunView run;
+    if (!(r.read(got.accepted) && r.read(got.stop) &&
+          r.read(got.version) && r.read(got.steps) &&
+          r.read(got.staleness) && readRun(r, theta.size(), run) &&
+          finish(r)))
+        return false;
+    got.theta = copyRun(run, theta);
+    m = got;
+    return true;
 }
 
 void

@@ -87,7 +87,7 @@ RemoteParams::joinLocked()
     const auto pull_span = obs::rootSpan();
     const auto pull_t0 = Clock::now();
     wire::Params params;
-    if (!client_.pull(params, cache_.size(), toWire(pull_span)) ||
+    if (!client_.pull(params, cache_.flat(), toWire(pull_span)) ||
         params.theta.size() != cache_.size())
         return false;
     if (pull_span.sampled) {
@@ -96,8 +96,6 @@ RemoteParams::joinLocked()
         obs::emitSpan(pull_span, "dist.worker", "worker.pull",
                       pull_t0, Clock::now(), args);
     }
-    std::copy(params.theta.begin(), params.theta.end(),
-              cache_.flat().begin());
     cacheVersion_ = params.version;
     leaseTtlMs_ = welcome.leaseTtlMs;
     workerId_.store(welcome.workerId, std::memory_order_release);
@@ -160,8 +158,7 @@ RemoteParams::applyGradients(const nn::ParamSet &grads,
     push.baseVersion = cacheVersion_;
     push.steps = steps_consumed;
     push.wantParams = 1;
-    const std::span<const float> flat = grads.flat();
-    push.grads.assign(flat.begin(), flat.end());
+    push.grads = grads.flat();
 
     auto &m = obs::metrics();
     // One root span per logical push: the PS parents its ps.apply
@@ -175,13 +172,22 @@ RemoteParams::applyGradients(const nn::ParamSet &grads,
         if (!joined_ && !rejoinLocked())
             return;
         push.workerId = workerId_.load(std::memory_order_relaxed);
+        // The ack's theta is decoded straight into cache_, so keep
+        // the outgoing image for dist.update_norm only when sampled.
+        const bool sample_norm = m.enabled();
+        if (sample_norm) {
+            const std::span<const float> cached = cache_.flat();
+            prevTheta_.assign(cached.begin(), cached.end());
+        }
         wire::PushAck ack;
         const auto t0 = Clock::now();
-        if (!client_.push(push, ack, cache_.size())) {
+        if (!client_.push(push, ack, cache_.flat())) {
             joined_ = false; // transport died; rejoin and retry
             continue;
         }
         const auto t1 = Clock::now();
+        if (!ack.theta.empty())
+            cacheVersion_ = ack.version; // cache_ holds the ack's image
         if (push_span.sampled) {
             const std::array<obs::TraceArg, 2> args{
                 {{"accepted", static_cast<double>(ack.accepted)},
@@ -215,25 +221,18 @@ RemoteParams::applyGradients(const nn::ParamSet &grads,
         }
         if (ack.accepted == 0)
             staleRejects_.fetch_add(1, std::memory_order_relaxed);
-        if (!ack.theta.empty()) {
+        if (sample_norm && !ack.theta.empty()) {
             // Parameter-delta norm per round trip: how far the fleet
             // moved theta since this worker's last sync (its own
             // update plus any interleaved peers') — a cheap
             // divergence signal for the aggregator's health view.
-            if (m.enabled()) {
-                const std::span<const float> old = cache_.flat();
-                double sumsq = 0.0;
-                for (std::size_t i = 0; i < old.size(); ++i) {
-                    const double d =
-                        static_cast<double>(ack.theta[i]) -
-                        static_cast<double>(old[i]);
-                    sumsq += d * d;
-                }
-                m.sample("dist", "update_norm", std::sqrt(sumsq));
+            double sumsq = 0.0;
+            for (std::size_t i = 0; i < prevTheta_.size(); ++i) {
+                const double d = static_cast<double>(ack.theta[i]) -
+                                 static_cast<double>(prevTheta_[i]);
+                sumsq += d * d;
             }
-            std::copy(ack.theta.begin(), ack.theta.end(),
-                      cache_.flat().begin());
-            cacheVersion_ = ack.version;
+            m.sample("dist", "update_norm", std::sqrt(sumsq));
         }
         lastSteps_.store(ack.steps, std::memory_order_relaxed);
         if (ack.stop)

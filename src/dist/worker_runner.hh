@@ -114,9 +114,10 @@ class RemoteParams : public rl::ParamService
     mutable std::mutex mutex_;
     PsClient client_;
     bool joined_ = false;
-    nn::ParamSet cache_;
+    nn::ParamSet cache_; ///< acks and pulls decode theta into this
     std::uint64_t cacheVersion_ = 0;
     std::uint32_t leaseTtlMs_ = 0;
+    std::vector<float> prevTheta_; ///< cache_ before a push (metrics)
 
     std::atomic<std::uint64_t> workerId_{0};
     std::atomic<std::uint64_t> lastSteps_{0};

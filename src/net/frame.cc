@@ -3,8 +3,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
+#include <array>
 #include <cerrno>
+#include <limits>
 
 namespace fa3c::net {
 
@@ -54,19 +57,53 @@ setNoDelay(int fd)
 
 bool
 sendFrame(int fd, std::uint32_t magic, std::uint32_t type,
-          const void *payload, std::size_t payload_len)
+          std::span<const Part> parts)
 {
-    std::vector<std::uint8_t> frame;
-    frame.reserve(kFrameHeaderBytes + payload_len);
-    encodeFrameHeader(frame,
-                      {magic, type,
-                       static_cast<std::uint32_t>(payload_len)});
-    if (payload_len > 0) {
-        const auto *bytes =
-            static_cast<const std::uint8_t *>(payload);
-        frame.insert(frame.end(), bytes, bytes + payload_len);
+    if (parts.size() > kMaxFrameParts)
+        return false;
+    std::size_t payload_len = 0;
+    for (const Part &p : parts)
+        payload_len += p.size();
+    if (payload_len > std::numeric_limits<std::uint32_t>::max())
+        return false;
+
+    // The same bytes encodeFrameHeader appends (host order, see the
+    // file comment), built on the stack so a send never allocates.
+    std::uint32_t header[3] = {magic, type,
+                               static_cast<std::uint32_t>(payload_len)};
+    static_assert(sizeof(header) == kFrameHeaderBytes);
+    std::array<iovec, 1 + kMaxFrameParts> iov{};
+    iov[0] = {header, sizeof(header)};
+    std::size_t count = 1;
+    for (const Part &p : parts)
+        if (!p.empty())
+            iov[count++] = {const_cast<std::byte *>(p.data()), p.size()};
+
+    // sendmsg may stop anywhere, even inside a part: advance past
+    // what was written and gather the rest.
+    iovec *next = iov.data();
+    while (count > 0) {
+        msghdr msg{};
+        msg.msg_iov = next;
+        msg.msg_iovlen = count;
+        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        auto left = static_cast<std::size_t>(n);
+        while (count > 0 && left >= next->iov_len) {
+            left -= next->iov_len;
+            ++next;
+            --count;
+        }
+        if (count > 0) {
+            next->iov_base = static_cast<std::byte *>(next->iov_base) + left;
+            next->iov_len -= left;
+        }
     }
-    return writeFull(fd, frame.data(), frame.size());
+    return true;
 }
 
 bool

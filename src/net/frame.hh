@@ -15,7 +15,10 @@
  *  - Frame + RecvBuffer: a generic {magic, type, length}-headed
  *    message frame with blocking send/recv helpers, plus the
  *    reassembly buffer non-blocking loops use to parse frames that
- *    arrive split across reads.
+ *    arrive split across reads. sendFrame gathers the header and the
+ *    payload parts straight from the caller's memory with sendmsg,
+ *    so a multi-megabyte payload is never copied into a frame buffer
+ *    first.
  *
  * The serving wire format (serve/wire.hh) carries its own headers
  * rather than Frame's {magic, type, length}: it builds on the put/get
@@ -28,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,10 +105,34 @@ decodeFrameHeader(const std::uint8_t *p)
     return h;
 }
 
-/** Write one frame to @p fd (blocking). @return false on transport
- * failure. */
+/** One piece of a frame payload, borrowed until sendFrame returns. */
+using Part = std::span<const std::byte>;
+
+/** Most payload parts one sendFrame call gathers. */
+inline constexpr std::size_t kMaxFrameParts = 7;
+
+/**
+ * Write one frame to @p fd (blocking): the header and the
+ * concatenation of @p parts, gathered by sendmsg without an
+ * intermediate copy. Partial writes and EINTR are retried; the send
+ * never raises SIGPIPE. Zero-length parts are skipped, so an empty
+ * payload sends a bare header.
+ *
+ * @return false on transport failure, more than kMaxFrameParts parts,
+ *         or a payload longer than a u32 length can state.
+ */
 bool sendFrame(int fd, std::uint32_t magic, std::uint32_t type,
-               const void *payload, std::size_t payload_len);
+               std::span<const Part> parts);
+
+/** sendFrame with one contiguous payload. */
+inline bool
+sendFrame(int fd, std::uint32_t magic, std::uint32_t type,
+          const void *payload, std::size_t payload_len)
+{
+    const Part part(static_cast<const std::byte *>(payload),
+                    payload_len);
+    return sendFrame(fd, magic, type, std::span<const Part>(&part, 1));
+}
 
 /**
  * Read one frame from @p fd (blocking).
@@ -112,8 +140,13 @@ bool sendFrame(int fd, std::uint32_t magic, std::uint32_t type,
  * @param magic        Expected protocol magic; a mismatch fails.
  * @param max_payload  Reject frames claiming more than this (a
  *                     corrupt length must not drive a huge alloc).
+ *                     Checked before any payload byte is read or
+ *                     any buffer grows.
  * @param type_out     The frame's message type.
- * @param payload_out  The frame's payload bytes.
+ * @param payload_out  The frame's payload bytes. Reused: a caller
+ *                     that passes the same string every time keeps
+ *                     its capacity, so steady-state receives of
+ *                     equal-sized frames allocate nothing.
  * @return false on EOF, transport error, bad magic, or oversize.
  */
 bool recvFrame(int fd, std::uint32_t magic, std::uint32_t max_payload,

@@ -81,16 +81,28 @@ class ByteReader
     {
     }
 
-    /** Copy @p size bytes out. @return false past the end. */
+    /** Step over @p size bytes without copying them; @p at points
+     * at the first. @return false past the end. */
     bool
-    readRaw(void *out, std::size_t size)
+    view(std::size_t size, const char *&at)
     {
         if (!ok_ || size > size_ - pos_) {
             ok_ = false;
             return false;
         }
-        std::memcpy(out, data_ + pos_, size);
+        at = data_ + pos_;
         pos_ += size;
+        return true;
+    }
+
+    /** Copy @p size bytes out. @return false past the end. */
+    bool
+    readRaw(void *out, std::size_t size)
+    {
+        const char *at = nullptr;
+        if (!view(size, at))
+            return false;
+        std::memcpy(out, at, size);
         return true;
     }
 

@@ -2,25 +2,40 @@
  * End-to-end tests of the parameter-server core over real loopback
  * TCP: join/pull/push/heartbeat/stats/bye, layout-mismatch rejection
  * at Hello, the staleness bound in synchronous mode, lease expiry for
- * a silent worker, PS checkpoint/restore across a restart, and the
- * equivalence of the sharded state with the in-process GlobalParams.
+ * a silent worker, PS checkpoint/restore across a restart, the
+ * equivalence of the sharded state with the in-process GlobalParams,
+ * the layout-derived frame limit, the joining of ended connection
+ * threads, and the worker's dist.update_norm sample.
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <malloc.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/ps_client.hh"
 #include "dist/ps_server.hh"
 #include "dist/sharded_params.hh"
+#include "dist/worker_runner.hh"
+#include "net/frame.hh"
 #include "nn/a3c_network.hh"
+#include "obs/metrics.hh"
 #include "rl/global_params.hh"
 #include "sim/rng.hh"
 
@@ -61,6 +76,56 @@ struct TempFile
     std::string path;
 };
 
+/** This process's virtual size in bytes (VmSize, /proc/self/status). */
+std::int64_t
+vmSizeBytes()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmSize:") {
+            std::int64_t kb = 0;
+            status >> kb;
+            return kb * 1024;
+        }
+        status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    }
+    return -1;
+}
+
+/** A plain TCP connection to the PS, for speaking raw frames. */
+int
+rawConnect(int port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                             sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** {count, sum} of the registry's dist/update_norm samples. */
+std::pair<std::uint64_t, double>
+updateNormSamples()
+{
+    std::pair<std::uint64_t, double> out{0, 0.0};
+    obs::metrics().forEachGroup(
+        [&](const std::string &name, const sim::StatGroup &group) {
+            if (name != "dist")
+                return;
+            const auto it = group.distributions().find("update_norm");
+            if (it != group.distributions().end())
+                out = {it->second.count(), it->second.sum()};
+        });
+    return out;
+}
+
 /** Poll @p pred for up to @p budget. */
 template <typename Pred>
 bool
@@ -97,8 +162,10 @@ TEST(DistPs, HelloPullPushHeartbeatStatsBye)
               std::numeric_limits<std::uint64_t>::max());
 
     const std::size_t count = net.makeParams().size();
+    std::vector<float> theta(count);
+    std::vector<float> pulled(count);
     wire::Params params;
-    ASSERT_TRUE(client.pull(params, count));
+    ASSERT_TRUE(client.pull(params, pulled));
     EXPECT_EQ(params.version, 0u);
     EXPECT_EQ(params.theta.size(), count);
 
@@ -107,9 +174,10 @@ TEST(DistPs, HelloPullPushHeartbeatStatsBye)
     push.baseVersion = params.version;
     push.steps = 20;
     push.wantParams = 1;
-    push.grads.assign(count, 0.5f);
+    const std::vector<float> grads(count, 0.5f);
+    push.grads = grads;
     wire::PushAck ack;
-    ASSERT_TRUE(client.push(push, ack, count));
+    ASSERT_TRUE(client.push(push, ack, theta));
     EXPECT_EQ(ack.accepted, 1u);
     EXPECT_EQ(ack.version, 1u);
     EXPECT_EQ(ack.steps, 20u);
@@ -120,7 +188,7 @@ TEST(DistPs, HelloPullPushHeartbeatStatsBye)
     // so each word shifts by eta*d/sqrt(g+eps).
     bool moved = false;
     for (std::size_t i = 0; i < count; ++i)
-        moved = moved || ack.theta[i] != params.theta[i];
+        moved = moved || theta[i] != pulled[i];
     EXPECT_TRUE(moved);
 
     wire::HeartbeatAck hb;
@@ -185,20 +253,22 @@ TEST(DistPs, SyncModeRejectsStalePushes)
     ASSERT_TRUE(client.hello(helloFor(net, "w0"), welcome));
 
     const std::size_t count = net.makeParams().size();
+    std::vector<float> theta(count);
     wire::Push push;
     push.workerId = welcome.workerId;
     push.baseVersion = 0;
     push.steps = 10;
-    push.grads.assign(count, 1.0f);
+    const std::vector<float> grads(count, 1.0f);
+    push.grads = grads;
 
     wire::PushAck first;
-    ASSERT_TRUE(client.push(push, first, count));
+    ASSERT_TRUE(client.push(push, first, theta));
     EXPECT_EQ(first.accepted, 1u);
     EXPECT_EQ(first.version, 1u);
 
     // Same baseVersion again: one update behind, over the bound.
     wire::PushAck second;
-    ASSERT_TRUE(client.push(push, second, count));
+    ASSERT_TRUE(client.push(push, second, theta));
     EXPECT_EQ(second.accepted, 0u);
     EXPECT_EQ(second.staleness, 1u);
     EXPECT_EQ(second.version, 1u); // gradients were discarded
@@ -206,7 +276,7 @@ TEST(DistPs, SyncModeRejectsStalePushes)
     // Rebasing on the current version is accepted again.
     push.baseVersion = second.version;
     wire::PushAck third;
-    ASSERT_TRUE(client.push(push, third, count));
+    ASSERT_TRUE(client.push(push, third, theta));
     EXPECT_EQ(third.accepted, 1u);
     EXPECT_EQ(third.version, 2u);
 
@@ -229,12 +299,14 @@ TEST(DistPs, PushFromReapedLeaseCarriesSentinelStaleness)
     ASSERT_TRUE(ps.leases().reap(welcome.workerId));
 
     const std::size_t count = net.makeParams().size();
+    std::vector<float> theta(count);
     wire::Push push;
     push.workerId = welcome.workerId;
     push.steps = 10;
-    push.grads.assign(count, 1.0f);
+    const std::vector<float> grads(count, 1.0f);
+    push.grads = grads;
     wire::PushAck ack;
-    ASSERT_TRUE(client.push(push, ack, count));
+    ASSERT_TRUE(client.push(push, ack, theta));
     EXPECT_EQ(ack.accepted, 0u);
     // The sentinel tells the worker "your lease is gone, re-Hello"
     // as opposed to "you were too stale, rebase".
@@ -246,7 +318,7 @@ TEST(DistPs, PushFromReapedLeaseCarriesSentinelStaleness)
     EXPECT_NE(second.workerId, welcome.workerId);
     push.workerId = second.workerId;
     push.baseVersion = second.version;
-    ASSERT_TRUE(client.push(push, ack, count));
+    ASSERT_TRUE(client.push(push, ack, theta));
     EXPECT_EQ(ack.accepted, 1u);
     EXPECT_EQ(ps.leases().joined(), 2u);
     ps.stop();
@@ -292,19 +364,21 @@ TEST(DistPs, StopAfterTotalStepsAcksStop)
     EXPECT_EQ(welcome.totalSteps, 30u);
 
     const std::size_t count = net.makeParams().size();
+    std::vector<float> theta(count);
     wire::Push push;
     push.workerId = welcome.workerId;
     push.steps = 20;
     push.wantParams = 0;
-    push.grads.assign(count, 0.25f);
+    const std::vector<float> grads(count, 0.25f);
+    push.grads = grads;
 
     wire::PushAck ack;
-    ASSERT_TRUE(client.push(push, ack, count));
+    ASSERT_TRUE(client.push(push, ack, theta));
     EXPECT_EQ(ack.stop, 0u);
     EXPECT_FALSE(ps.done());
 
     push.baseVersion = ack.version;
-    ASSERT_TRUE(client.push(push, ack, count)); // crosses 30
+    ASSERT_TRUE(client.push(push, ack, theta)); // crosses 30
     EXPECT_EQ(ack.stop, 1u);
     EXPECT_TRUE(ps.waitDone(5000));
     EXPECT_TRUE(ps.done());
@@ -316,6 +390,7 @@ TEST(DistPs, CheckpointRestoreAcrossRestartPreservesEverything)
     const nn::A3cNetwork net(tinyNet());
     TempFile file("fa3c_test_dist_ps_ckpt.bin");
     const std::size_t count = net.makeParams().size();
+    std::vector<float> theta(count);
 
     std::vector<float> theta_before;
     std::uint64_t version_before = 0;
@@ -334,11 +409,12 @@ TEST(DistPs, CheckpointRestoreAcrossRestartPreservesEverything)
         wire::Push push;
         push.workerId = welcome.workerId;
         push.steps = 10;
-        push.grads.assign(count, 0.5f);
+        const std::vector<float> grads(count, 0.5f);
+        push.grads = grads;
         wire::PushAck ack;
         for (int i = 0; i < 3; ++i) {
             push.baseVersion = ack.version;
-            ASSERT_TRUE(client.push(push, ack, count));
+            ASSERT_TRUE(client.push(push, ack, theta));
             ASSERT_EQ(ack.accepted, 1u);
         }
         ps.params().snapshot(theta_before);
@@ -443,4 +519,136 @@ TEST(DistPs, ShardedParamsMatchesGlobalParamsExactly)
         max_diff = std::max(max_diff, d < 0 ? -d : d);
     }
     EXPECT_EQ(max_diff, 0.0f);
+}
+
+TEST(DistPs, FrameOverTheLayoutLimitClosesOnlyThatConnection)
+{
+    const nn::A3cNetwork net(tinyNet());
+    PsServer ps(net, {});
+    ASSERT_TRUE(ps.start());
+    const std::size_t count = net.makeParams().size();
+
+    PsClient worker;
+    ASSERT_TRUE(worker.connect("127.0.0.1", ps.port()));
+    wire::Welcome welcome;
+    ASSERT_TRUE(worker.hello(helloFor(net, "w0"), welcome));
+
+    // A bare header claiming one byte more than a full Push of this
+    // layout. The PS must refuse it from the header alone, not size a
+    // buffer for it and wait for a payload that never comes.
+    const int fd = rawConnect(ps.port());
+    ASSERT_GE(fd, 0);
+    timeval timeout{};
+    timeout.tv_sec = 5;
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    std::vector<std::uint8_t> header;
+    net::encodeFrameHeader(
+        header, {wire::kMagic, static_cast<std::uint32_t>(wire::Type::Push),
+                 wire::maxRequestBytes(count) + 1});
+    ASSERT_TRUE(net::writeFull(fd, header.data(), header.size()));
+
+    // The worker's own connection keeps pushing meanwhile.
+    std::vector<float> theta(count);
+    const std::vector<float> grads(count, 0.5f);
+    wire::Push push;
+    push.workerId = welcome.workerId;
+    push.steps = 5;
+    push.wantParams = 1;
+    push.grads = grads;
+    wire::PushAck ack;
+    ASSERT_TRUE(worker.push(push, ack, theta));
+    EXPECT_EQ(ack.accepted, 1u);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    char byte = 0;
+    const ssize_t n = ::recv(fd, &byte, 1, 0);
+    const int err = errno;
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_TRUE(n == 0 || (n < 0 && err == ECONNRESET))
+        << "recv returned " << n << " (errno " << err << ")";
+    EXPECT_LT(waited, 2s);
+    ::close(fd);
+
+    ASSERT_TRUE(worker.push(push, ack, theta));
+    EXPECT_EQ(ps.stats().pushes, 2u);
+    ps.stop();
+}
+
+TEST(DistPs, EndedConnectionThreadsAreJoined)
+{
+    const nn::A3cNetwork net(tinyNet());
+    PsServer ps(net, {});
+    ASSERT_TRUE(ps.start());
+
+    // Every connection runs on its own thread with its own stack; one
+    // left unjoined after its peer hung up keeps that stack mapped.
+    // glibc also reserves 64 MB of address space for each new malloc
+    // arena, and how many it makes depends on how many connection
+    // threads happen to overlap. Capping the arenas keeps that out of
+    // the measurement (a sanitizer's allocator ignores the cap and has
+    // no such arenas), and the first connections, not measured,
+    // settle the stack cache.
+    (void)::mallopt(M_ARENA_MAX, 1);
+    const auto one_shot_stats = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            PsClient client;
+            ASSERT_TRUE(client.connect("127.0.0.1", ps.port()));
+            wire::StatsReply stats;
+            ASSERT_TRUE(client.stats(stats));
+        }
+    };
+    one_shot_stats(16);
+    const std::int64_t before = vmSizeBytes();
+    ASSERT_GT(before, 0);
+    one_shot_stats(64);
+    const std::int64_t grown = vmSizeBytes() - before;
+    EXPECT_LT(grown, 128ll << 20) << "VmSize grew by " << (grown >> 20)
+                                  << " MB over 64 connections";
+    ps.stop();
+}
+
+TEST(DistPs, ApplyGradientsSamplesTheNormOfTheCacheUpdate)
+{
+    const nn::A3cNetwork net(tinyNet());
+    PsServer ps(net, {});
+    ASSERT_TRUE(ps.start());
+    RemoteParams remote(net, "127.0.0.1", ps.port(), "w0");
+    ASSERT_TRUE(remote.join());
+
+    nn::ParamSet before = net.makeParams();
+    nn::ParamSet after = net.makeParams();
+    nn::ParamSet grads = net.makeParams();
+    sim::Rng rng(5);
+    for (float &g : grads.flat())
+        g = rng.uniformF() - 0.5f;
+    remote.snapshot(before);
+
+    // The ack's theta is decoded in place over the cache; the sample
+    // must still measure the step from the old cache to the new one.
+    auto &m = obs::metrics();
+    const bool was_enabled = m.enabled();
+    m.setEnabled(true);
+    const auto [count0, sum0] = updateNormSamples();
+    remote.applyGradients(grads, 5);
+    const auto [count1, sum1] = updateNormSamples();
+    m.setEnabled(was_enabled);
+    remote.snapshot(after);
+
+    double sumsq = 0.0;
+    const auto b = before.flat();
+    const auto a = after.flat();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const double d =
+            static_cast<double>(a[i]) - static_cast<double>(b[i]);
+        sumsq += d * d;
+    }
+    const double expected = std::sqrt(sumsq);
+    EXPECT_GT(expected, 0.0);
+    EXPECT_EQ(remote.version(), 1u);
+    ASSERT_EQ(count1, count0 + 1);
+    EXPECT_NEAR(sum1 - sum0, expected, 1e-9 * expected);
+    remote.leave();
+    ps.stop();
 }

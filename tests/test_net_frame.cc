@@ -1,16 +1,23 @@
 /** @file
  * Tests of the shared net framing layer: put/get codec primitives,
  * frame header encode/decode, blocking sendFrame/recvFrame over a
- * socketpair (including the bad-magic and oversize rejections), and
- * the RecvBuffer reassembly helper used by non-blocking loops.
+ * socketpair (including the bad-magic and oversize rejections, and a
+ * gathered send cut into partial writes and EINTRs), and the
+ * RecvBuffer reassembly helper used by non-blocking loops.
  */
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +45,14 @@ struct SocketPair
             ::close(fds[1]);
     }
 };
+
+std::atomic<int> interrupts{0};
+
+void
+countInterrupt(int)
+{
+    interrupts.fetch_add(1, std::memory_order_relaxed);
+}
 
 } // namespace
 
@@ -148,6 +163,124 @@ TEST(NetFrame, ReadWriteFullHandleLargeTransfers)
     EXPECT_TRUE(net::readFull(sp.fds[1], in.data(), in.size()));
     writer.join();
     EXPECT_EQ(in, out);
+}
+
+TEST(NetFrame, GatherSendSurvivesPartialWritesAndInterrupts)
+{
+    // A ~1 MB payload in four parts, one of them empty, sent through
+    // a shrunken send buffer to a reader that drains it in small
+    // chunks, while a signal without SA_RESTART keeps interrupting
+    // the blocked sendmsg: every call that had written something
+    // returns short, and the ones that had not fail with EINTR.
+    SocketPair sp;
+    const int sndbuf = 4096;
+    ASSERT_EQ(::setsockopt(sp.fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                           sizeof(sndbuf)),
+              0);
+    // A send that loses bytes must fail the test, not hang the reader.
+    timeval stall{};
+    stall.tv_sec = 5;
+    ASSERT_EQ(::setsockopt(sp.fds[1], SOL_SOCKET, SO_RCVTIMEO, &stall,
+                           sizeof(stall)),
+              0);
+    std::vector<std::uint8_t> head(29), run(1 << 20), tail(17);
+    for (std::size_t i = 0; i < head.size(); ++i)
+        head[i] = static_cast<std::uint8_t>(0xA0 + i);
+    for (std::size_t i = 0; i < run.size(); ++i)
+        run[i] = static_cast<std::uint8_t>(i * 2654435761u >> 24);
+    for (std::size_t i = 0; i < tail.size(); ++i)
+        tail[i] = static_cast<std::uint8_t>(0x50 + i);
+    const std::vector<net::Part> parts = {
+        std::as_bytes(std::span(head)), net::Part(),
+        std::as_bytes(std::span(run)), std::as_bytes(std::span(tail))};
+
+    std::string payload;
+    payload.append(head.begin(), head.end());
+    payload.append(run.begin(), run.end());
+    payload.append(tail.begin(), tail.end());
+    std::vector<std::uint8_t> expected;
+    net::encodeFrameHeader(
+        expected, {kMagic, 7, static_cast<std::uint32_t>(payload.size())});
+    expected.insert(expected.end(), payload.begin(), payload.end());
+
+    struct sigaction action{};
+    struct sigaction previous{};
+    action.sa_handler = countInterrupt;
+    sigemptyset(&action.sa_mask);
+    action.sa_flags = 0; // no SA_RESTART: sendmsg must see the signal
+    ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+    interrupts.store(0);
+    const pthread_t sender = ::pthread_self();
+    std::atomic<bool> sending{true};
+    std::thread interrupter([&] {
+        while (sending.load()) {
+            ::pthread_kill(sender, SIGUSR1);
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
+
+    std::vector<std::uint8_t> drained;
+    std::thread reader([&] {
+        std::uint8_t chunk[1000];
+        while (drained.size() < expected.size()) {
+            const ssize_t n = ::recv(sp.fds[1], chunk, sizeof(chunk), 0);
+            if (n <= 0)
+                break;
+            drained.insert(drained.end(), chunk, chunk + n);
+        }
+    });
+    const bool sent = net::sendFrame(sp.fds[0], kMagic, 7, parts);
+
+    // The same frame again, parsed by recvFrame on the other end.
+    bool parsed = false;
+    std::uint32_t type = 0;
+    std::string got;
+    reader.join();
+    std::thread parser([&] {
+        parsed = net::recvFrame(sp.fds[1], kMagic, 2 << 20, type, got);
+    });
+    const bool resent = net::sendFrame(sp.fds[0], kMagic, 7, parts);
+    parser.join();
+    sending.store(false);
+    interrupter.join();
+    ::sigaction(SIGUSR1, &previous, nullptr);
+
+    EXPECT_TRUE(sent);
+    EXPECT_TRUE(resent);
+    EXPECT_GT(interrupts.load(), 0);
+    EXPECT_TRUE(drained == expected) << "drained " << drained.size()
+                                     << " of " << expected.size()
+                                     << " bytes, or different bytes";
+    EXPECT_TRUE(parsed);
+    EXPECT_EQ(type, 7u);
+    EXPECT_TRUE(got == payload);
+}
+
+TEST(NetFrame, EmptyGatherSendsABareHeader)
+{
+    SocketPair sp;
+    const std::vector<net::Part> empty_parts = {net::Part(), net::Part()};
+    ASSERT_TRUE(net::sendFrame(sp.fds[0], kMagic, 5, empty_parts));
+    ASSERT_TRUE(net::sendFrame(sp.fds[0], kMagic, 6,
+                               std::span<const net::Part>()));
+    ::close(sp.fds[0]);
+    sp.fds[0] = -1;
+
+    // Exactly two headers and nothing else, each a valid empty frame.
+    std::vector<std::uint8_t> all(64);
+    std::size_t have = 0;
+    for (ssize_t n; (n = ::recv(sp.fds[1], all.data() + have,
+                                all.size() - have, 0)) > 0;)
+        have += static_cast<std::size_t>(n);
+    ASSERT_EQ(have, 2 * net::kFrameHeaderBytes);
+    const net::FrameHeader first = net::decodeFrameHeader(all.data());
+    const net::FrameHeader second =
+        net::decodeFrameHeader(all.data() + net::kFrameHeaderBytes);
+    EXPECT_EQ(first.magic, kMagic);
+    EXPECT_EQ(first.type, 5u);
+    EXPECT_EQ(first.payloadLen, 0u);
+    EXPECT_EQ(second.type, 6u);
+    EXPECT_EQ(second.payloadLen, 0u);
 }
 
 TEST(NetFrame, RecvBufferParsesSplitFrames)
