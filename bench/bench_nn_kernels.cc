@@ -7,13 +7,22 @@
  * backward passes through ReferenceBackend vs FastCpuBackend, and the
  * batched multi-agent forward path.
  *
+ * The per-layer fast rows time the kernel FastCpuBackend actually
+ * runs for that layer: FC forward is the M = 1 GEMM over the staged
+ * panel image, or the canonical-row dot kernel for heads narrower
+ * than kSmallFcMaxOut (fc4). Two training-routine passes outside the
+ * DNN are timed as well: sync_stage_ms (FastCpuBackend::onParamSync
+ * on the Table 1 net, run once per routine) and rmsprop_apply_ms
+ * (nn::rmspropApply over the Table 1 Pong net's 677,943 words).
+ *
  * Writes $FA3C_JSON_DIR/BENCH_nn_kernels.json with one row per
  * (layer, op) pair plus header fields fw_speedup_e2e /
  * bw_speedup_e2e / batch16_fw_speedup / small_layer_speedup /
- * int8_speedup / fp16_speedup; CI gates on fw_speedup_e2e >= 2,
- * small_layer_speedup >= 1 (the narrow-FC dot path must beat the
- * panel GEMM it replaced) and int8_speedup >= 1.5 (quantized batched
- * forward on the wide serving net vs fp32 FastCpuBackend).
+ * int8_speedup / fp16_speedup / sync_stage_ms / rmsprop_apply_ms; CI
+ * gates on fw_speedup_e2e >= 2, small_layer_speedup >= 1 (the
+ * narrow-FC dot path must beat the panel GEMM it replaced) and
+ * int8_speedup >= 1.5 (quantized batched forward on the wide serving
+ * net vs fp32 FastCpuBackend), and trends the two routine passes.
  *
  * Knobs: FA3C_NN_KERNELS_REPS (per-layer timing iterations, default
  * 30) and FA3C_NN_KERNELS_E2E_REPS (end-to-end iterations, default
@@ -36,6 +45,7 @@
 #include "nn/kernels/im2col.hh"
 #include "nn/layers.hh"
 #include "nn/kernels/dispatch.hh"
+#include "nn/rmsprop.hh"
 #include "rl/backend.hh"
 #include "rl/fast_cpu_backend.hh"
 #include "rl/quant_backend.hh"
@@ -244,9 +254,14 @@ benchFcLayer(const char *name, const nn::FcSpec &spec,
     std::vector<float> w(spec.weightCount()), b(spec.biasCount());
     randomize(w, rng);
     randomize(b, rng);
-    std::vector<float> wT(spec.weightCount());
-    nn::kernels::transpose(w.data(), spec.outFeatures, spec.inFeatures,
-                           wT.data());
+    // The panel image FastCpuBackend stages on sync (unused by the
+    // small-head dot kernel).
+    std::vector<float> panels(
+        nn::kernels::gemmPanelSize(spec.outFeatures, spec.inFeatures));
+    nn::kernels::gemmPackPanelsT(spec.outFeatures, spec.inFeatures,
+                                 w.data(), spec.inFeatures,
+                                 panels.data());
+    const bool small = spec.outFeatures < nn::kernels::kSmallFcMaxOut;
 
     tensor::Tensor out(tensor::Shape({spec.outFeatures}));
     tensor::Tensor g_out(out.shape());
@@ -260,8 +275,14 @@ benchFcLayer(const char *name, const nn::FcSpec &spec,
          timeMs([&] { nn::fcForward(spec, in, w, b, out); }, reps),
          timeMs(
              [&] {
-                 nn::kernels::fcForwardFast(spec, in.data().data(), wT,
-                                            b, out.data().data());
+                 if (small)
+                     nn::kernels::fcForwardSmallBatch(
+                         spec, 1, in.data().data(), w, b,
+                         out.data().data());
+                 else
+                     nn::kernels::fcForwardFastBatchPanels(
+                         spec, 1, in.data().data(), panels, b,
+                         out.data().data());
              },
              reps)});
     results.push_back(
@@ -433,15 +454,11 @@ main(int, char **)
             static_cast<std::size_t>(batch) *
             static_cast<std::size_t>(f4.outFeatures));
         randomize(small_in, rng);
-        std::vector<float> w4T(f4.weightCount());
-        nn::kernels::transpose(params.view("fc4.w").data(),
-                               f4.outFeatures, f4.inFeatures,
-                               w4T.data());
         std::vector<float> panels4(nn::kernels::gemmPanelSize(
             f4.outFeatures, f4.inFeatures));
-        nn::kernels::gemmPackPanels(f4.outFeatures, f4.inFeatures,
-                                    w4T.data(), f4.outFeatures,
-                                    panels4.data());
+        nn::kernels::gemmPackPanelsT(f4.outFeatures, f4.inFeatures,
+                                     params.view("fc4.w").data(),
+                                     f4.inFeatures, panels4.data());
         const auto small_ms = timeManyMs(
             e2e_reps,
             {[&] {
@@ -459,6 +476,27 @@ main(int, char **)
         benchmark::DoNotOptimize(small_out.data());
         small_speedup = small_panel_ms / small_dot_ms;
     }
+
+    // --- Training-routine passes outside the DNN -----------------
+    // Every A3C routine restages the FC/conv images once on parameter
+    // sync and applies one RMSProp update over the whole model.
+    const double sync_stage_ms =
+        timeMs([&] { fast.onParamSync(params); }, e2e_reps);
+    const nn::A3cNetwork pong_net(nn::NetConfig::atari(6));
+    nn::ParamSet rms_theta = pong_net.makeParams();
+    nn::ParamSet rms_g = pong_net.makeParams();
+    nn::ParamSet rms_grad = pong_net.makeParams();
+    randomize(rms_theta.flat(), rng);
+    randomize(rms_grad.flat(), rng);
+    const nn::RmspropConfig rms_cfg;
+    const double rmsprop_apply_ms = timeMs(
+        [&] {
+            nn::rmspropApply(rms_theta.flat(), rms_g.flat(),
+                             rms_grad.flat(), 7e-4f, rms_cfg);
+        },
+        e2e_reps);
+    benchmark::DoNotOptimize(rms_theta.flat().data());
+    const std::uint64_t rmsprop_words = rms_theta.flat().size();
 
     // --- Quantized backends on the wide serving net ---------------
     // The paper-geometry FC3 (2592x256) is too narrow to expose the
@@ -529,6 +567,11 @@ main(int, char **)
                 sim::TextTable::num(wide_fp16_ms, 3),
                 sim::TextTable::num(fp16_speedup) + "x"});
     std::printf("%s\n", e2e.render().c_str());
+    std::printf("Parameter sync staging (Table 1 net): %.3f ms\n",
+                sync_stage_ms);
+    std::printf("RMSProp apply (%llu words): %.3f ms\n",
+                static_cast<unsigned long long>(rmsprop_words),
+                rmsprop_apply_ms);
     std::printf("Kernel ISA: %s\n", nn::kernels::isaName());
     std::printf("CI gate: fw_speedup_e2e = %.2fx (must be >= 2.0)\n",
                 fw_speedup);
@@ -616,6 +659,9 @@ main(int, char **)
     report.field("small_layer_speedup", small_speedup);
     report.field("int8_speedup", int8_speedup);
     report.field("fp16_speedup", fp16_speedup);
+    report.field("sync_stage_ms", sync_stage_ms);
+    report.field("rmsprop_apply_ms", rmsprop_apply_ms);
+    report.field("rmsprop_words", rmsprop_words);
     report.field("kernel_isa", nn::kernels::isaName());
     report.field("reps", reps);
     report.field("e2e_reps", e2e_reps);

@@ -20,31 +20,6 @@ constexpr long long kMtFlopThreshold = 1LL << 24;
 } // namespace
 
 void
-fcForwardFast(const FcSpec &spec, const float *in,
-              std::span<const float> wT, std::span<const float> b,
-              float *out)
-{
-    fcForwardFastBatch(spec, 1, in, wT, b, out);
-}
-
-void
-fcForwardFastBatch(const FcSpec &spec, int batch, const float *in,
-                   std::span<const float> wT, std::span<const float> b,
-                   float *out)
-{
-    FA3C_PROF_SCOPE("kernels.fc_fw");
-    FA3C_ASSERT(wT.size() == spec.weightCount(), "fcForwardFast wT");
-    FA3C_ASSERT(b.size() == spec.biasCount(), "fcForwardFast b");
-    const std::size_t o = static_cast<std::size_t>(spec.outFeatures);
-    for (int s = 0; s < batch; ++s)
-        std::memcpy(out + static_cast<std::size_t>(s) * o, b.data(),
-                    o * sizeof(float));
-    gemmAcc(batch, spec.outFeatures, spec.inFeatures, in,
-            spec.inFeatures, wT.data(), spec.outFeatures, out,
-            spec.outFeatures);
-}
-
-void
 fcForwardFastBatchPanels(const FcSpec &spec, int batch, const float *in,
                          std::span<const float> wPanels,
                          std::span<const float> b, float *out)

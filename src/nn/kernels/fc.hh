@@ -4,12 +4,14 @@
  *
  * The golden fcForward in nn/layers.cc is a per-row dot product — a
  * reduction the autovectorizer cannot reassociate without
- * -ffast-math. These kernels use the transposed weight layout
- * wT[I][O] so the inner loop becomes an axpy over the output lane
- * (out[:] += in[i] * wT[i][:]), which vectorizes exactly like the
- * GEMM microkernel; in fact forward IS gemmAcc with M = 1, and the
- * batched variant the multi-agent path uses is the same call with
- * M = batch — so single and batched results are bit-identical.
+ * -ffast-math. Forward here instead runs as a GEMM over a panel image
+ * of W^T (gemmPackPanelsT of the canonical W[O][I], staged once per
+ * parameter sync), so the inner loop is an axpy over the output lane
+ * (out[:] += in[i] * W^T[i][:]) that vectorizes like the GEMM tiles.
+ * Single-sample forward is that GEMM with M = 1 and batched forward
+ * the same call with M = batch, over one shared panel image, so
+ * single and batched results are bit-identical. Heads narrower than
+ * kSmallFcMaxOut skip the image and dot the canonical rows.
  *
  * Backward and gradient already stream the canonical [O][I] rows
  * contiguously, so they need no staged layout.
@@ -25,30 +27,15 @@
 namespace fa3c::nn::kernels {
 
 /**
- * Forward: out[O] = W * in + b using the staged transpose
- * wT[I][O].
- */
-void fcForwardFast(const FcSpec &spec, const float *in,
-                   std::span<const float> wT, std::span<const float> b,
-                   float *out);
-
-/**
- * Batched forward: out[batch][O] = in[batch][I] * wT + b per row —
- * one GEMM, so the staged weights are loaded once per k-step for the
- * whole batch instead of once per agent.
- */
-void fcForwardFastBatch(const FcSpec &spec, int batch, const float *in,
-                        std::span<const float> wT,
-                        std::span<const float> b, float *out);
-
-/**
- * Batched forward over weights pre-packed with gemmPackPanels
- * (@p wPanels = panels of wT[I][O], i.e. gemmPanelSize(O, I)
- * floats). The panel layout streams the weight matrix sequentially
- * inside the tiled GEMM, which matters on wide layers where the
- * row-major wT walk would take a TLB miss per k step; serving
- * backends stage the panels once per parameter publish. Bit-identical
- * to fcForwardFastBatch.
+ * Forward of @p batch rows (batch = 1 for a single sample):
+ * out[batch][O] = in[batch][I] * W^T + b, with @p wPanels the
+ * gemmPackPanelsT image of W[O][I] (gemmPanelSize(O, I) floats). The
+ * panel layout streams the weights sequentially inside the GEMM,
+ * which matters on wide layers where a row-major W^T walk would take
+ * a TLB miss per k step, and a batch reads them once for all rows.
+ * Every output element accumulates in increasing-i order whatever
+ * the batch size, so row s of a batched call is bit-identical to a
+ * batch = 1 call on that row.
  */
 void fcForwardFastBatchPanels(const FcSpec &spec, int batch,
                               const float *in,

@@ -1,7 +1,6 @@
 #include "nn/kernels/gemm.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "nn/kernels/dispatch.hh"
 
@@ -27,27 +26,44 @@ gemmPanelSize(int n, int k)
     return strips * static_cast<std::size_t>(k) * kGemmPanelWidth;
 }
 
+namespace {
+
+/**
+ * The pack behind both public layouts: B[p][j] = b[p*sp + j*sj],
+ * written strip after strip in one sequential pass. From B's
+ * transpose (sp = 1) each source row is read along k as its own
+ * prefetcher stream, so the pack runs near memcpy speed.
+ */
 void
-gemmPackPanels(int n, int k, const float *b, int ldb, float *panels)
+packPanels(int n, int k, const float *b, std::size_t sp, std::size_t sj,
+           float *panels)
 {
+    float *dst = panels;
     for (int j0 = 0; j0 < n; j0 += kGemmPanelWidth) {
         const int w = std::min(kGemmPanelWidth, n - j0);
-        float *panel = panels + static_cast<std::size_t>(j0 /
-                                                         kGemmPanelWidth) *
-                                    static_cast<std::size_t>(k) *
-                                    kGemmPanelWidth;
-        for (int p = 0; p < k; ++p) {
-            float *dst =
-                panel + static_cast<std::size_t>(p) * kGemmPanelWidth;
-            const float *src = b + static_cast<std::size_t>(p) *
-                                       static_cast<std::size_t>(ldb) +
-                               static_cast<std::size_t>(j0);
-            std::memcpy(dst, src, static_cast<std::size_t>(w) *
-                                      sizeof(float));
+        const float *strip = b + static_cast<std::size_t>(j0) * sj;
+        for (int p = 0; p < k; ++p, dst += kGemmPanelWidth) {
+            const float *src = strip + static_cast<std::size_t>(p) * sp;
+            for (int j = 0; j < w; ++j)
+                dst[j] = src[static_cast<std::size_t>(j) * sj];
             for (int j = w; j < kGemmPanelWidth; ++j)
                 dst[j] = 0.0f;
         }
     }
+}
+
+} // namespace
+
+void
+gemmPackPanels(int n, int k, const float *b, int ldb, float *panels)
+{
+    packPanels(n, k, b, static_cast<std::size_t>(ldb), 1, panels);
+}
+
+void
+gemmPackPanelsT(int n, int k, const float *bt, int ldbt, float *panels)
+{
+    packPanels(n, k, bt, 1, static_cast<std::size_t>(ldbt), panels);
 }
 
 void

@@ -7,10 +7,9 @@
  *
  *  - an "axpy" form whose inner loop walks one row of C and one row
  *    of B contiguously (no reduction across lanes), used for short M
- *    (including the M = 1 GEMV that single-request FC inference is):
- *    there the C rows fit in registers-worth of L1 and the kernel is
- *    bound by streaming B, which the contiguous walk does at full
- *    prefetch speed;
+ *    (including the M = 1 GEMV of FC backward): there the C rows fit
+ *    in registers-worth of L1 and the kernel is bound by streaming B,
+ *    which the contiguous walk does at full prefetch speed;
  *  - a tiled form that carries an MR x NR tile of C entirely in
  *    vector registers across the whole k loop, used when M >= 4: C is
  *    loaded and stored once instead of being re-streamed every k
@@ -24,10 +23,13 @@
  *
  * gemmPackPanels/gemmAccPanels additionally support a pre-packed B
  * layout (column panels of NR contiguous floats per k step) so that a
- * B matrix that is reused across many calls — FC weights in a serving
- * hot loop — is staged once and then streamed sequentially instead of
- * being gathered with a large row stride (a 4 KiB-stride walk costs a
- * TLB miss per k step on wide layers).
+ * B matrix that is reused across many calls — FC weights — is staged
+ * once and then streamed sequentially instead of being gathered with
+ * a large row stride (a 4 KiB-stride walk costs a TLB miss per k step
+ * on wide layers); over panels the register tile runs at every M,
+ * M = 1 included. gemmPackPanelsT builds the same panels straight
+ * from B's transpose, for an FC layer the canonical W[O][I] block, so
+ * no transposed copy is stored.
  */
 
 #ifndef FA3C_NN_KERNELS_GEMM_HH
@@ -71,6 +73,16 @@ std::size_t gemmPanelSize(int n, int k);
  */
 void gemmPackPanels(int n, int k, const float *b, int ldb,
                     float *panels);
+
+/**
+ * gemmPackPanels of B[k x n] = bt^T, read from row-major bt[n x k]
+ * (row stride @p ldbt) in one pass: column j of B is row j of bt.
+ * For an FC layer bt is the canonical weight block W[O][I] (n = O,
+ * k = I). Pure data movement; the output is bit-identical to
+ * transpose() followed by gemmPackPanels, zero padding included.
+ */
+void gemmPackPanelsT(int n, int k, const float *bt, int ldbt,
+                     float *panels);
 
 /**
  * C[m x n] += A[m x k] * B, with B pre-packed by gemmPackPanels.

@@ -60,8 +60,8 @@ class KernelTimer
 FastCpuBackend::FastCpuBackend(const nn::A3cNetwork &net)
     : net_(net),
       conv2WT_(net.conv2().weightCount()),
-      fc3WT_(net.fc3().weightCount()),
-      fc4WT_(net.fc4().weightCount()),
+      fc3Panels_(nn::kernels::gemmPanelSize(net.fc3().outFeatures,
+                                            net.fc3().inFeatures)),
       colScratch_(std::max(nn::kernels::colSize(net.conv1()),
                            nn::kernels::colSize(net.conv2()))),
       gFc3Act_(tensor::Shape({net.fc3().outFeatures})),
@@ -77,6 +77,9 @@ FastCpuBackend::FastCpuBackend(const nn::A3cNetwork &net)
       gConv1Pre_(gConv1Act_.shape())
 {
     fc4Small_ = net.fc4().outFeatures < nn::kernels::kSmallFcMaxOut;
+    if (!fc4Small_)
+        fc4Panels_.resize(nn::kernels::gemmPanelSize(
+            net.fc4().outFeatures, net.fc4().inFeatures));
 }
 
 void
@@ -89,27 +92,17 @@ FastCpuBackend::onParamSync(const nn::ParamSet &params)
     nn::kernels::transpose(
         params.view("conv2.w").data(), c2.outChannels,
         static_cast<int>(nn::kernels::patchSize(c2)), conv2WT_.data());
-    nn::kernels::transpose(params.view("fc3.w").data(), f3.outFeatures,
-                           f3.inFeatures, fc3WT_.data());
-    // Panel-packed wT for batched FC forward: built per sync/publish,
-    // amortized over every batch served until the next one. A small
-    // FC4 head needs neither image — its forward runs the
-    // canonical-row dot kernel straight off the ParamSet.
-    fc3Panels_.resize(
-        nn::kernels::gemmPanelSize(f3.outFeatures, f3.inFeatures));
-    nn::kernels::gemmPackPanels(f3.outFeatures, f3.inFeatures,
-                                fc3WT_.data(), f3.outFeatures,
-                                fc3Panels_.data());
-    if (!fc4Small_) {
-        nn::kernels::transpose(params.view("fc4.w").data(),
-                               f4.outFeatures, f4.inFeatures,
-                               fc4WT_.data());
-        fc4Panels_.resize(
-            nn::kernels::gemmPanelSize(f4.outFeatures, f4.inFeatures));
-        nn::kernels::gemmPackPanels(f4.outFeatures, f4.inFeatures,
-                                    fc4WT_.data(), f4.outFeatures,
-                                    fc4Panels_.data());
-    }
+    // One panel image per FC layer, packed straight from the
+    // canonical rows and shared by single-sample and batched forward.
+    // A small FC4 head needs none: its forward runs the canonical-row
+    // dot kernel straight off the ParamSet.
+    nn::kernels::gemmPackPanelsT(f3.outFeatures, f3.inFeatures,
+                                 params.view("fc3.w").data(),
+                                 f3.inFeatures, fc3Panels_.data());
+    if (!fc4Small_)
+        nn::kernels::gemmPackPanelsT(f4.outFeatures, f4.inFeatures,
+                                     params.view("fc4.w").data(),
+                                     f4.inFeatures, fc4Panels_.data());
     staged_ = true;
 }
 
@@ -158,10 +151,9 @@ FastCpuBackend::forward(const nn::ParamSet &params,
     forwardConvs(params, obs, act);
     {
         KernelTimer t("fc_fw");
-        nn::kernels::fcForwardFast(net_.fc3(),
-                                   act.conv2Flat.data().data(), fc3WT_,
-                                   params.view("fc3.b"),
-                                   act.fc3Pre.data().data());
+        nn::kernels::fcForwardFastBatchPanels(
+            net_.fc3(), 1, act.conv2Flat.data().data(), fc3Panels_,
+            params.view("fc3.b"), act.fc3Pre.data().data());
     }
     nn::reluForward(act.fc3Pre, act.fc3Act);
     {
@@ -172,8 +164,8 @@ FastCpuBackend::forward(const nn::ParamSet &params,
                 params.view("fc4.w"), params.view("fc4.b"),
                 act.out.data().data());
         else
-            nn::kernels::fcForwardFast(
-                net_.fc4(), act.fc3Act.data().data(), fc4WT_,
+            nn::kernels::fcForwardFastBatchPanels(
+                net_.fc4(), 1, act.fc3Act.data().data(), fc4Panels_,
                 params.view("fc4.b"), act.out.data().data());
     }
 }
@@ -291,10 +283,10 @@ FastCpuBackend::forwardBatch(
                     in3 * sizeof(float));
     }
 
-    // FC3 as one M = batch GEMM over the panel-packed weights: the
-    // weight matrix is streamed once for the whole batch instead of
-    // once per request. The GEMM accumulates every output element in
-    // the same order as the single-sample call, so results are
+    // FC3 as one M = batch GEMM over the same panel image forward()
+    // uses at M = 1: the weight matrix is streamed once for the whole
+    // batch instead of once per request. The GEMM accumulates every
+    // output element in the same order at any M, so results are
     // bit-identical to forward().
     {
         KernelTimer t("fc_fw");

@@ -10,14 +10,15 @@
  *  - convolutions go through an im2col patch matrix and a
  *    register-blocked axpy-form GEMM that autovectorizes without
  *    -ffast-math;
- *  - FC forward uses a transposed weight image wT[I][O] staged once
- *    per parameter sync in onParamSync() (the same stage-on-sync
- *    pattern the FA3C datapath backend uses for its FW/BW layouts);
- *  - forwardBatch() runs the two FC layers as one M = batch GEMM over
- *    weight panels packed at parameter-sync time, so the PAAC
- *    rollout, the GA3C predictor, and the serving scheduler read the
- *    FC weight matrices once per batch instead of once per request —
- *    the dominant cost of single-request inference on wide layers.
+ *  - each FC layer has one staged image, 32-column panels of W^T
+ *    packed straight from the canonical W[O][I] rows in onParamSync()
+ *    (the stage-on-sync pattern of the FA3C datapath backend, whose
+ *    TLU derives the second layout while loading); heads narrower
+ *    than kernels::kSmallFcMaxOut need none. forward() runs the FC
+ *    layers as an M = 1 GEMM over it and forwardBatch() as one
+ *    M = batch GEMM, so the PAAC rollout, the GA3C predictor, and the
+ *    serving scheduler read the FC weights once per batch instead of
+ *    once per request, bit-identically to forward().
  *
  * Each instance owns its scratch buffers, so it is single-agent like
  * every other DnnBackend; trainers construct one per agent.
@@ -40,7 +41,7 @@ class FastCpuBackend : public DnnBackend
 
     const nn::A3cNetwork &network() const override { return net_; }
 
-    /** Restages the transposed weight images from @p params. */
+    /** Restages the conv2 BW and FC forward images from @p params. */
     void onParamSync(const nn::ParamSet &params) override;
 
     void forward(const nn::ParamSet &params, const tensor::Tensor &obs,
@@ -73,21 +74,19 @@ class FastCpuBackend : public DnnBackend
 
     const nn::A3cNetwork &net_;
 
-    // Staged transposed weight images (rebuilt in onParamSync). Conv1
-    // needs none: its forward uses the canonical [O][I*K*K] layout and
+    // Staged weight images (rebuilt in onParamSync). Conv1 needs
+    // none: its forward uses the canonical [O][I*K*K] layout and
     // backward into the game screen is never computed.
-    std::vector<float> conv2WT_; ///< [I*K*K][O] for conv2 BW
-    std::vector<float> fc3WT_;   ///< [I][O] for fc3 FW
-    std::vector<float> fc4WT_;   ///< [I][O] for fc4 FW
-    std::vector<float> fc3Panels_; ///< packed wT panels for batched FW
-    std::vector<float> fc4Panels_; ///< packed wT panels for batched FW
+    std::vector<float> conv2WT_;   ///< [I*K*K][O] for conv2 BW
+    std::vector<float> fc3Panels_; ///< W^T panels for fc3 FW
+    std::vector<float> fc4Panels_; ///< W^T panels for fc4 FW (wide heads)
     bool staged_ = false;
     /**
-     * FC4 heads narrower than kernels::kSmallFcMaxOut skip the
-     * wT/panel staging entirely and run the canonical-row dot-product
-     * kernel: the panel layout pads every strip to 32 columns, which
-     * for the 5-wide head wastes 6x the weight bandwidth (the cause
-     * of the old fc4 0.5x regression vs golden).
+     * FC4 heads narrower than kernels::kSmallFcMaxOut skip the panel
+     * staging entirely and run the canonical-row dot-product kernel:
+     * the panel layout pads every strip to 32 columns, which for the
+     * 5-wide head wastes 6x the weight bandwidth (the cause of the
+     * old fc4 0.5x regression vs golden).
      */
     bool fc4Small_ = false;
 

@@ -13,6 +13,10 @@
  * local sum and adds it once).
  */
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -148,6 +152,49 @@ TEST(NnKernels, ConvGradientMatchesGoldenAndAccumulates)
     }
 }
 
+TEST(NnKernels, PackPanelsTMatchesTransposeThenPack)
+{
+    // gemmPackPanelsT reads the canonical W[O][I] rows directly; its
+    // image must equal the two-step transpose + gemmPackPanels
+    // bit for bit. 70 x 33 has a 6-column tail strip and an odd k;
+    // 256 x 2592 is fc3 of the Table 1 net.
+    sim::Rng rng(12);
+    const struct
+    {
+        int n, k;
+    } shapes[] = {{70, 33}, {256, 2592}};
+    for (const auto &sh : shapes) {
+        std::vector<float> w(static_cast<std::size_t>(sh.n) *
+                             static_cast<std::size_t>(sh.k));
+        randomize(std::span<float>(w), rng);
+        std::vector<float> wT(w.size());
+        kernels::transpose(w.data(), sh.n, sh.k, wT.data());
+        const std::size_t size = kernels::gemmPanelSize(sh.n, sh.k);
+        // Poison both outputs so the padding must be written, not
+        // inherited from a zero-initialized buffer.
+        std::vector<float> want(size, 7.0f), got(size, -7.0f);
+        kernels::gemmPackPanels(sh.n, sh.k, wT.data(), sh.n, want.data());
+        kernels::gemmPackPanelsT(sh.n, sh.k, w.data(), sh.k, got.data());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              size * sizeof(float)),
+                  0)
+            << sh.n << " x " << sh.k;
+
+        const int tail = sh.n % kernels::kGemmPanelWidth;
+        if (tail == 0)
+            continue;
+        const float *last =
+            got.data() + size - static_cast<std::size_t>(sh.k) *
+                                    kernels::kGemmPanelWidth;
+        for (int p = 0; p < sh.k; ++p)
+            for (int j = tail; j < kernels::kGemmPanelWidth; ++j)
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                              last[p * kernels::kGemmPanelWidth + j]),
+                          0u)
+                    << "padding k=" << p << " column " << j;
+    }
+}
+
 TEST(NnKernels, FcForwardMatchesGolden)
 {
     sim::Rng rng(24);
@@ -161,12 +208,14 @@ TEST(NnKernels, FcForwardMatchesGolden)
         tensor::Tensor golden(tensor::Shape({spec.outFeatures}));
         fcForward(spec, in, w, b, golden);
 
-        std::vector<float> wT(spec.weightCount());
-        kernels::transpose(w.data(), spec.outFeatures, spec.inFeatures,
-                           wT.data());
+        std::vector<float> panels(
+            kernels::gemmPanelSize(spec.outFeatures, spec.inFeatures));
+        kernels::gemmPackPanelsT(spec.outFeatures, spec.inFeatures,
+                                 w.data(), spec.inFeatures,
+                                 panels.data());
         tensor::Tensor fast(golden.shape());
-        kernels::fcForwardFast(spec, in.data().data(), wT, b,
-                               fast.data().data());
+        kernels::fcForwardFastBatchPanels(spec, 1, in.data().data(),
+                                          panels, b, fast.data().data());
         expectAllClose(fast.data(), golden.data(), kTightUlp, kTightAbs,
                        "fc forward");
     }
@@ -174,43 +223,58 @@ TEST(NnKernels, FcForwardMatchesGolden)
 
 TEST(NnKernels, FcForwardBatchBitExactWithSingle)
 {
+    // 23 outputs are a lone tail strip; 45 add one full 32-column
+    // strip, which runs through the register tile.
     sim::Rng rng(25);
-    const FcSpec spec{67, 23};
     const int batch = 7;
-    std::vector<float> w(spec.weightCount()), b(spec.biasCount());
-    randomize(std::span<float>(w), rng);
-    randomize(std::span<float>(b), rng);
-    std::vector<float> wT(spec.weightCount());
-    kernels::transpose(w.data(), spec.outFeatures, spec.inFeatures,
-                       wT.data());
+    for (const FcSpec spec : {FcSpec{67, 23}, FcSpec{67, 45}}) {
+        std::vector<float> w(spec.weightCount()), b(spec.biasCount());
+        randomize(std::span<float>(w), rng);
+        randomize(std::span<float>(b), rng);
+        std::vector<float> panels(
+            kernels::gemmPanelSize(spec.outFeatures, spec.inFeatures));
+        kernels::gemmPackPanelsT(spec.outFeatures, spec.inFeatures,
+                                 w.data(), spec.inFeatures,
+                                 panels.data());
 
-    std::vector<float> in(static_cast<std::size_t>(batch) *
-                          static_cast<std::size_t>(spec.inFeatures));
-    randomize(std::span<float>(in), rng);
+        const std::size_t in_f = static_cast<std::size_t>(spec.inFeatures);
+        const std::size_t out_f =
+            static_cast<std::size_t>(spec.outFeatures);
+        std::vector<float> in(static_cast<std::size_t>(batch) * in_f);
+        randomize(std::span<float>(in), rng);
 
-    std::vector<float> batched(static_cast<std::size_t>(batch) *
-                               static_cast<std::size_t>(
-                                   spec.outFeatures));
-    kernels::fcForwardFastBatch(spec, batch, in.data(), wT, b,
-                                batched.data());
+        std::vector<float> batched(static_cast<std::size_t>(batch) *
+                                   out_f);
+        kernels::fcForwardFastBatchPanels(spec, batch, in.data(), panels,
+                                          b, batched.data());
 
-    // The batched GEMM must accumulate each output element in exactly
-    // the per-sample order: results are bit-identical, not just close.
-    std::vector<float> single(static_cast<std::size_t>(
-        spec.outFeatures));
-    for (int s = 0; s < batch; ++s) {
-        kernels::fcForwardFast(
-            spec,
-            in.data() + static_cast<std::size_t>(s) *
-                            static_cast<std::size_t>(spec.inFeatures),
-            wT, b, single.data());
-        for (int o = 0; o < spec.outFeatures; ++o)
-            EXPECT_EQ(single[static_cast<std::size_t>(o)],
-                      batched[static_cast<std::size_t>(s) *
-                                  static_cast<std::size_t>(
-                                      spec.outFeatures) +
-                              static_cast<std::size_t>(o)])
-                << "sample " << s << " output " << o;
+        // The batched GEMM must accumulate each output element in
+        // exactly the per-sample order: results are bit-identical, not
+        // just close. The batch = 1 call over the panels must also
+        // equal the GEMV over an unpacked W^T, the layout they replace.
+        std::vector<float> wT(spec.weightCount());
+        kernels::transpose(w.data(), spec.outFeatures, spec.inFeatures,
+                           wT.data());
+        std::vector<float> single(out_f), gemv(out_f);
+        for (int s = 0; s < batch; ++s) {
+            const float *row = in.data() + static_cast<std::size_t>(s) * in_f;
+            kernels::fcForwardFastBatchPanels(spec, 1, row, panels, b,
+                                              single.data());
+            std::copy(b.begin(), b.end(), gemv.begin());
+            kernels::gemmAcc(1, spec.outFeatures, spec.inFeatures, row,
+                             spec.inFeatures, wT.data(),
+                             spec.outFeatures, gemv.data(),
+                             spec.outFeatures);
+            for (std::size_t o = 0; o < out_f; ++o) {
+                EXPECT_EQ(single[o],
+                          batched[static_cast<std::size_t>(s) * out_f + o])
+                    << spec.outFeatures << " outputs, sample " << s
+                    << " output " << o;
+                EXPECT_EQ(single[o], gemv[o])
+                    << spec.outFeatures << " outputs, sample " << s
+                    << " output " << o;
+            }
+        }
     }
 }
 

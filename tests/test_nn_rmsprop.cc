@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "nn/rmsprop.hh"
+#include "sim/rng.hh"
 
 using namespace fa3c::nn;
 
@@ -80,4 +83,49 @@ TEST(Rmsprop, SizeMismatchPanics)
     std::vector<float> grad = {0.1f};
     EXPECT_THROW(rmspropApply(theta, g, grad, 0.1f, RmspropConfig{}),
                  std::logic_error);
+}
+
+TEST(Rmsprop, VectorBodyAndTailsMatchScalarLoopBitForBit)
+{
+    // rmspropApply vectorizes; IEEE sqrt and division are correctly
+    // rounded, so every lane must equal this plain scalar pipeline
+    // word for word. Lengths 0..67 cover the empty span, the vector
+    // body and every tail length; the odd start offset covers a
+    // misaligned first word.
+    const RmspropConfig cfg;
+    const float lr = 7e-4f;
+    const float one_minus_decay = 1.0f - cfg.decay;
+    for (std::size_t offset = 0; offset < 2; ++offset) {
+        for (std::size_t n = 0; n <= 67; ++n) {
+            fa3c::sim::Rng rng(100 + n);
+            std::vector<float> theta(offset + n), g(offset + n),
+                grad(offset + n);
+            for (std::size_t i = 0; i < offset + n; ++i) {
+                theta[i] = -1.0f + 2.0f * rng.uniformF();
+                g[i] = rng.uniformF(); // second moments are >= 0
+                grad[i] = -2.0f + 4.0f * rng.uniformF();
+            }
+            std::vector<float> want_theta = theta, want_g = g;
+            for (std::size_t i = offset; i < offset + n; ++i) {
+                const float d = grad[i];
+                want_g[i] = cfg.decay * want_g[i] + one_minus_decay * d * d;
+                want_theta[i] -=
+                    lr * d / std::sqrt(want_g[i] + cfg.epsilon);
+            }
+            rmspropApply(std::span<float>(theta).subspan(offset),
+                         std::span<float>(g).subspan(offset),
+                         std::span<const float>(grad).subspan(offset),
+                         lr, cfg);
+            for (std::size_t i = 0; i < offset + n; ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(g[i]),
+                          std::bit_cast<std::uint32_t>(want_g[i]))
+                    << "g word " << i << " of n=" << n
+                    << " offset=" << offset;
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(theta[i]),
+                          std::bit_cast<std::uint32_t>(want_theta[i]))
+                    << "theta word " << i << " of n=" << n
+                    << " offset=" << offset;
+            }
+        }
+    }
 }

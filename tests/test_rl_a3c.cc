@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "env/games.hh"
@@ -196,6 +197,21 @@ pongSessions(const nn::NetConfig &net_cfg, std::uint64_t seed)
     };
 }
 
+/** FNV-1a over the IEEE bit patterns of every word of @p p. */
+std::uint64_t
+hashWords(const nn::ParamSet &p)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const float v : p.flat()) {
+        const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+        for (int b = 0; b < 4; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
 } // namespace
 
 TEST(A3cTrainer, SynchronousRunConsumesConfiguredSteps)
@@ -311,4 +327,48 @@ TEST(A3cTrainer, ParametersChangeDuringTraining)
     EXPECT_GT(nn::ParamSet::maxAbsDiff(
                   before, trainer.globalParams().theta()),
               0.0f);
+}
+
+TEST(A3cTrainer, FastCpuSyncRunMatchesRecordedTrajectory)
+{
+    // Pins the whole FastCpu routine (weight staging, FW, BW, GC, grad
+    // clipping, shared RMSProp) word for word. The constants were
+    // recorded while FC forward still ran over a transposed wT copy
+    // and RMSProp was a scalar loop; the panel image and the
+    // vectorized update are bit-identical rewrites, and every kernel
+    // ISA tier (FA3C_KERNELS_ISA=generic|avx2|avx512) must match too.
+    // fcSize 70 adds a 6-column tail strip to fc3 and an odd k to fc4.
+    struct Pin
+    {
+        int fcSize;
+        std::uint64_t steps;
+        std::uint64_t theta;
+        std::uint64_t g;
+    };
+    const Pin pins[] = {
+        {64, 601, 0x97d41ff4f9268664ull, 0x7359b16364d9c825ull},
+        {70, 603, 0x567890022d5f7092ull, 0x1b03648614d3e1a9ull},
+    };
+    for (const Pin &pin : pins) {
+        nn::NetConfig net_cfg = nn::NetConfig::tiny(3);
+        net_cfg.fcSize = pin.fcSize;
+        nn::A3cNetwork net(net_cfg);
+        A3cConfig cfg;
+        cfg.numAgents = 2;
+        cfg.totalSteps = 600;
+        cfg.async = false;
+        cfg.seed = 29;
+        cfg.backend = BackendKind::FastCpu;
+        A3cTrainer trainer(net, cfg, /*backend_factory=*/{},
+                           pongSessions(net_cfg, 71));
+        trainer.run();
+
+        nn::ParamSet theta = net.makeParams();
+        nn::ParamSet g = net.makeParams();
+        std::uint64_t steps = 0;
+        trainer.globalParams().checkpoint(theta, g, steps);
+        EXPECT_EQ(steps, pin.steps) << "fcSize " << pin.fcSize;
+        EXPECT_EQ(hashWords(theta), pin.theta) << "fcSize " << pin.fcSize;
+        EXPECT_EQ(hashWords(g), pin.g) << "fcSize " << pin.fcSize;
+    }
 }

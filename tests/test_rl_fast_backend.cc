@@ -116,46 +116,77 @@ TEST(FastCpuBackend, BackwardMatchesReference)
 
 TEST(FastCpuBackend, ForwardBatchBitExactWithSingleForward)
 {
-    const nn::A3cNetwork net(nn::NetConfig::tiny(4));
-    sim::Rng rng(7);
-    nn::ParamSet params = net.makeParams();
-    net.initParams(params, rng);
+    // Nets that reach every FC forward path: the tiny net (fc3 of two
+    // full strips, small fc4 head), the Table 1 net, fcSize 70 (a
+    // 6-column fc3 tail strip), and a 41-wide head that takes the fc4
+    // panel path with a 9-column tail. Batch sizes 1..17 cover the
+    // lone-request route and every register-tile height and remainder.
+    auto wide_head = nn::NetConfig::tiny(40);
+    wide_head.fcSize = 70;
+    auto fc70 = nn::NetConfig::tiny(4);
+    fc70.fcSize = 70;
+    const nn::NetConfig nets[] = {nn::NetConfig::tiny(4),
+                                  nn::NetConfig::atari(4), fc70,
+                                  wide_head};
+    constexpr int kMaxBatch = 17;
+    for (const nn::NetConfig &cfg : nets) {
+        const nn::A3cNetwork net(cfg);
+        sim::Rng rng(7);
+        nn::ParamSet params = net.makeParams();
+        net.initParams(params, rng);
 
-    FastCpuBackend batched(net);
-    FastCpuBackend single(net);
-    batched.onParamSync(params);
-    single.onParamSync(params);
+        FastCpuBackend batched(net);
+        FastCpuBackend single(net);
+        batched.onParamSync(params);
+        single.onParamSync(params);
 
-    const int batch = 6;
-    std::vector<tensor::Tensor> obs;
-    std::vector<nn::A3cNetwork::Activations> acts;
-    for (int s = 0; s < batch; ++s) {
-        obs.push_back(randomObs(net, rng));
-        acts.push_back(net.makeActivations());
-    }
-    std::vector<const tensor::Tensor *> obs_ptrs;
-    std::vector<nn::A3cNetwork::Activations *> act_ptrs;
-    for (int s = 0; s < batch; ++s) {
-        obs_ptrs.push_back(&obs[static_cast<std::size_t>(s)]);
-        act_ptrs.push_back(&acts[static_cast<std::size_t>(s)]);
-    }
-    batched.forwardBatch(params, obs_ptrs, act_ptrs);
+        std::vector<tensor::Tensor> obs;
+        std::vector<nn::A3cNetwork::Activations> want;
+        for (int s = 0; s < kMaxBatch; ++s) {
+            obs.push_back(randomObs(net, rng));
+            want.push_back(net.makeActivations());
+            single.forward(params, obs.back(), want.back());
+        }
 
-    // The batched FC GEMM accumulates per element in the single-sample
-    // order, so every activation must be bit-identical.
-    for (int s = 0; s < batch; ++s) {
-        nn::A3cNetwork::Activations ref = net.makeActivations();
-        single.forward(params, obs[static_cast<std::size_t>(s)], ref);
-        const auto &got = acts[static_cast<std::size_t>(s)];
-        for (std::size_t i = 0; i < ref.out.numel(); ++i)
-            EXPECT_EQ(got.out.data()[i], ref.out.data()[i])
-                << "sample " << s << " out " << i;
-        for (std::size_t i = 0; i < ref.fc3Act.numel(); ++i)
-            EXPECT_EQ(got.fc3Act.data()[i], ref.fc3Act.data()[i])
-                << "sample " << s << " fc3Act " << i;
-        for (std::size_t i = 0; i < ref.conv2Flat.numel(); ++i)
-            EXPECT_EQ(got.conv2Flat.data()[i], ref.conv2Flat.data()[i])
-                << "sample " << s << " conv2Flat " << i;
+        for (int batch = 1; batch <= kMaxBatch; ++batch) {
+            std::vector<nn::A3cNetwork::Activations> acts;
+            for (int s = 0; s < batch; ++s)
+                acts.push_back(net.makeActivations());
+            std::vector<const tensor::Tensor *> obs_ptrs;
+            std::vector<nn::A3cNetwork::Activations *> act_ptrs;
+            for (int s = 0; s < batch; ++s) {
+                obs_ptrs.push_back(&obs[static_cast<std::size_t>(s)]);
+                act_ptrs.push_back(&acts[static_cast<std::size_t>(s)]);
+            }
+            batched.forwardBatch(params, obs_ptrs, act_ptrs);
+
+            // The batched FC GEMM accumulates per element in the
+            // single-sample order over the same panel image, so every
+            // activation must be bit-identical.
+            for (int s = 0; s < batch; ++s) {
+                const auto &ref = want[static_cast<std::size_t>(s)];
+                const auto &got = acts[static_cast<std::size_t>(s)];
+                const auto where = [&] {
+                    return ::testing::Message()
+                           << "fcSize " << cfg.fcSize << ", out "
+                           << net.outSize() << ", batch " << batch
+                           << ", sample " << s;
+                };
+                for (std::size_t i = 0; i < ref.out.numel(); ++i)
+                    ASSERT_EQ(got.out.data()[i], ref.out.data()[i])
+                        << where() << ", out " << i;
+                for (std::size_t i = 0; i < ref.fc3Pre.numel(); ++i)
+                    ASSERT_EQ(got.fc3Pre.data()[i], ref.fc3Pre.data()[i])
+                        << where() << ", fc3Pre " << i;
+                for (std::size_t i = 0; i < ref.fc3Act.numel(); ++i)
+                    ASSERT_EQ(got.fc3Act.data()[i], ref.fc3Act.data()[i])
+                        << where() << ", fc3Act " << i;
+                for (std::size_t i = 0; i < ref.conv2Flat.numel(); ++i)
+                    ASSERT_EQ(got.conv2Flat.data()[i],
+                              ref.conv2Flat.data()[i])
+                        << where() << ", conv2Flat " << i;
+            }
+        }
     }
 }
 
