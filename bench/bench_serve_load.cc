@@ -3,14 +3,19 @@
  * Load generator for the policy-serving subsystem (src/serve/):
  *
  *   1. Closed-loop saturation: N blocking clients hammer the server
- *      and we compare dynamic batching (max batch 16 + linger)
- *      against single-request-per-forward dispatch (max batch 1) —
- *      the batching win the paper's dedicated-inference-unit design
+ *      and we compare dynamic batching (max batch 16; a free worker
+ *      runs whatever is queued at once, so batches fill only from
+ *      requests that arrive while it is busy) against
+ *      single-request-per-forward dispatch (max batch 1) — the
+ *      batching win the paper's dedicated-inference-unit design
  *      banks on.
- *   2. Open-loop sweep: Poisson-paced arrivals at fractions of the
+ *   2. Open-loop sweep: evenly paced arrivals at fractions of the
  *      measured peak, reporting p50/p95/p99 latency and the
  *      reject/timeout rate as the offered load crosses capacity (the
- *      admission controller's job).
+ *      admission controller's job). Two more rows offer fixed
+ *      fractions of the single-request IPS, which batch formation
+ *      cannot move, so they compare two builds at the same offered
+ *      load even when their peaks differ.
  *   3. Hot-swap under load: a publisher thread swaps model versions
  *      mid-stream; served requests must not fail or slow down
  *      catastrophically.
@@ -116,13 +121,11 @@ makeObservation(const nn::NetConfig &cfg, unsigned salt)
 }
 
 serve::ServeConfig
-serveConfig(int max_batch, std::chrono::microseconds linger,
-            int workers)
+serveConfig(int max_batch, int workers)
 {
     serve::ServeConfig cfg;
     cfg.queue.maxDepth = 1024;
     cfg.batch.maxBatch = max_batch;
-    cfg.batch.linger = linger;
     cfg.workers = workers;
     cfg.backend = rl::BackendKind::FastCpu;
     return cfg;
@@ -525,19 +528,17 @@ main(int argc, char **argv)
     std::printf("Closed-loop saturation (%d clients):\n", clients);
     g_benchPhase.store(1);
     const LoadResult batched = runClosedLoop(
-        net, params, serveConfig(max_batch, 2000us, 1), clients,
-        phase_ms);
+        net, params, serveConfig(max_batch, 1), clients, phase_ms);
     g_benchPhase.store(2);
     const LoadResult single = runClosedLoop(
-        net, params, serveConfig(1, 0us, 1), clients, phase_ms);
+        net, params, serveConfig(1, 1), clients, phase_ms);
     const double speedup =
         single.ips > 0.0 ? batched.ips / single.ips : 0.0;
 
     sim::TextTable closed({"Dispatch", "IPS", "mean batch",
                            "infer us/req", "p50 us", "p95 us",
                            "p99 us"});
-    closed.addRow({"max_batch=" + std::to_string(max_batch) +
-                       " linger=2ms",
+    closed.addRow({"max_batch=" + std::to_string(max_batch),
                    sim::TextTable::num(batched.ips, 0),
                    sim::TextTable::num(batched.meanBatch, 1),
                    sim::TextTable::num(batched.inferUsPerReq, 1),
@@ -566,18 +567,30 @@ main(int argc, char **argv)
 
     // --- 2. open-loop latency/reject sweep --------------------------
     g_benchPhase.store(3);
-    std::printf("Open-loop sweep (Poisson-ish pacing, 50 ms deadline "
-                "budget, rates relative to the measured peak):\n");
-    sim::TextTable sweep({"Offered/peak", "Offered IPS", "Served IPS",
+    std::printf("Open-loop sweep (even pacing, 50 ms deadline budget, "
+                "rates relative to the measured peak and to the "
+                "single-request IPS):\n");
+    sim::TextTable sweep({"Offered", "Offered IPS", "Served IPS",
                           "p50 us", "p95 us", "p99 us", "Reject %"});
-    for (const double frac : {0.5, 0.8, 1.0, 1.2}) {
-        const double rate = frac * batched.ips;
+    struct SweepPoint
+    {
+        double frac;
+        bool ofSingle; ///< fraction of single.ips, else of batched.ips
+    };
+    for (const SweepPoint pt : {SweepPoint{0.5, true},
+                                SweepPoint{0.9, true},
+                                SweepPoint{0.5, false},
+                                SweepPoint{0.8, false},
+                                SweepPoint{1.0, false},
+                                SweepPoint{1.2, false}}) {
+        const double rate =
+            pt.frac * (pt.ofSingle ? single.ips : batched.ips);
         if (rate < 1.0)
             continue;
-        const LoadResult r =
-            runOpenLoop(net, params, serveConfig(max_batch, 2000us, 1),
-                        rate, phase_ms);
-        sweep.addRow({sim::TextTable::num(frac, 1),
+        const LoadResult r = runOpenLoop(
+            net, params, serveConfig(max_batch, 1), rate, phase_ms);
+        sweep.addRow({sim::TextTable::num(pt.frac, 1) +
+                          (pt.ofSingle ? "x single" : "x peak"),
                       sim::TextTable::num(r.offeredIps, 0),
                       sim::TextTable::num(r.ips, 0),
                       sim::TextTable::num(r.p50, 0),
@@ -585,7 +598,9 @@ main(int argc, char **argv)
                       sim::TextTable::num(r.p99, 0),
                       sim::TextTable::num(100.0 * r.rejectRate(), 1)});
         report.addRow()
-            .set("offered_over_peak", frac)
+            .set(pt.ofSingle ? "offered_over_single"
+                             : "offered_over_peak",
+                 pt.frac)
             .set("offered_ips", r.offeredIps)
             .set("served_ips", r.ips)
             .set("p50_us", r.p50)
@@ -605,8 +620,8 @@ main(int argc, char **argv)
     std::printf("Hot-swap under closed-loop load (publish every "
                 "5 ms):\n");
     const LoadResult swapped = runClosedLoop(
-        net, params, serveConfig(max_batch, 2000us, 1), clients,
-        phase_ms, 5ms);
+        net, params, serveConfig(max_batch, 1), clients, phase_ms,
+        5ms);
     std::printf("  %.0f IPS while swapping (%.1f%% of the no-swap "
                 "peak), %llu failed requests.\n",
                 swapped.ips,
@@ -638,11 +653,11 @@ main(int argc, char **argv)
     for (int round = 0; round < trace_rounds; ++round) {
         obs::setSpanSampleRate(0.0);
         const LoadResult off = runClosedLoop(
-            net, params, serveConfig(max_batch, 2000us, 1), clients,
+            net, params, serveConfig(max_batch, 1), clients,
             trace_slice);
         obs::setSpanSampleRate(sample_rate);
         const LoadResult on = runClosedLoop(
-            net, params, serveConfig(max_batch, 2000us, 1), clients,
+            net, params, serveConfig(max_batch, 1), clients,
             trace_slice);
         best_unsampled = std::max(best_unsampled, off.ips);
         best_sampled = std::max(best_sampled, on.ips);
@@ -676,7 +691,7 @@ main(int argc, char **argv)
     serve::FleetConfig fleet;
     fleet.replicas = fleet_replicas;
     fleet.policy = serve::RoutePolicy::LeastLoaded;
-    fleet.replica = serveConfig(max_batch, 2000us, 1);
+    fleet.replica = serveConfig(max_batch, 1);
     // A queue the deadline budget can actually drain: with ~50 ms
     // budgets, shedding at a couple hundred queued requests keeps
     // admitted work feasible instead of letting the backlog turn
@@ -699,8 +714,11 @@ main(int argc, char **argv)
         fleet_single.load.ips > 0.0
             ? fleet_multi.load.ips / fleet_single.load.ips
             : 0.0;
+    // The replicas split the clients, so none fills a max batch; each
+    // worker runs what its share queues and the replicas add up, up
+    // to the host's core count.
     std::printf("  closed loop: %.0f IPS x1 -> %.0f IPS x%d "
-                "(scaling %.2fx; compute-bound on few-core hosts).\n",
+                "(scaling %.2fx).\n",
                 fleet_single.load.ips, fleet_multi.load.ips,
                 fleet_replicas, fleet_scaling);
     report.field("fleet_replicas", fleet_replicas);

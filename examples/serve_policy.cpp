@@ -3,7 +3,9 @@
  * Serve a policy for one game over TCP: a fleet of PolicyServer
  * replicas with dynamic batching behind the replica router
  * (serve/router.hh), fronted by the epoll event loop
- * (serve/event_loop.hh).
+ * (serve/event_loop.hh). A free worker runs whatever is queued at
+ * once, up to the max batch size, so batches form only from requests
+ * that arrive while the workers are busy.
  *
  *     ./serve_policy [game] [options]
  *
@@ -14,8 +16,6 @@
  *     --workers <n>     inference worker threads per replica
  *                       (default 1)
  *     --max-batch <n>   dynamic batch size cap (default 16)
- *     --linger-us <n>   batch linger window in microseconds (default
- *                       2000)
  *     --backend <name>  reference, fast, int8, or fp16 (default fast)
  *     --replicas <n>    PolicyServer replicas behind the router
  *                       (default 1)
@@ -130,7 +130,6 @@ main(int argc, char **argv)
     long port = 0;
     int workers = 1;
     int max_batch = 16;
-    long linger_us = 2000;
     int replicas = 1;
     double shed_fraction = 0.75;
     bool demo = false;
@@ -146,8 +145,6 @@ main(int argc, char **argv)
         } else if (arg == "--max-batch" && i + 1 < argc) {
             max_batch = static_cast<int>(
                 std::strtol(argv[++i], nullptr, 10));
-        } else if (arg == "--linger-us" && i + 1 < argc) {
-            linger_us = std::strtol(argv[++i], nullptr, 10);
         } else if (arg == "--backend" && i + 1 < argc) {
             backend_name = argv[++i];
         } else if (arg == "--replicas" && i + 1 < argc) {
@@ -198,10 +195,9 @@ main(int argc, char **argv)
         std::fprintf(stderr, "invalid port %ld\n", port);
         return 2;
     }
-    if (workers < 1 || max_batch < 1 || linger_us < 0 ||
-        replicas < 1 || shed_fraction <= 0.0) {
-        std::fprintf(stderr,
-                     "invalid worker/batch/linger/fleet settings\n");
+    if (workers < 1 || max_batch < 1 || replicas < 1 ||
+        shed_fraction <= 0.0) {
+        std::fprintf(stderr, "invalid worker/batch/fleet settings\n");
         return 2;
     }
 
@@ -237,8 +233,6 @@ main(int argc, char **argv)
     fleet.policy = *maybe_policy;
     fleet.shed.depthFraction = shed_fraction;
     fleet.replica.batch.maxBatch = max_batch;
-    fleet.replica.batch.linger =
-        std::chrono::microseconds(linger_us);
     fleet.replica.workers = workers;
     fleet.replica.backend = *maybe_backend;
     serve::ReplicaRouter router(net, fleet);
@@ -254,13 +248,12 @@ main(int argc, char **argv)
     }
     const std::uint16_t bound_port = loop.port();
     std::printf("Serving %s on 127.0.0.1:%u (%s backend, %d replica%s"
-                " x %d worker%s, %s routing, max batch %d, linger %ld "
-                "us).\n",
+                " x %d worker%s, %s routing, max batch %d, no "
+                "batch wait).\n",
                 game_name.c_str(), bound_port, backend_name.c_str(),
                 replicas, replicas == 1 ? "" : "s", workers,
                 workers == 1 ? "" : "s",
-                serve::routePolicyName(*maybe_policy), max_batch,
-                linger_us);
+                serve::routePolicyName(*maybe_policy), max_batch);
     if (const obs::TelemetryServer *telemetry = obs::telemetry())
         std::printf("Telemetry on http://127.0.0.1:%d (/metrics "
                     "/healthz /readyz).\n",

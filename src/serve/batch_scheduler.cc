@@ -114,10 +114,8 @@ BatchScheduler::workerMain(int index)
     for (;;) {
         batch.clear();
         expired.clear();
-        Clock::time_point first_pop{};
-        if (!queue_.popBatch(
-                static_cast<std::size_t>(policy_.maxBatch),
-                policy_.linger, batch, expired, &first_pop))
+        if (!queue_.popBatch(static_cast<std::size_t>(policy_.maxBatch),
+                             batch, expired))
             break;
         completeExpired(expired);
         if (batch.empty())
@@ -125,9 +123,10 @@ BatchScheduler::workerMain(int index)
 
         FA3C_PROF_SCOPE("serve.batch");
         // Batch-underfill accounting: slots the policy allowed but the
-        // arrival rate could not fill.  A chronically underfilled
-        // scheduler wastes per-batch fixed cost the same way an
-        // underfilled CU wave wastes PE columns.
+        // queue did not hold requests for. Batches never wait, so an
+        // underfilled batch means no more requests were queued, not
+        // that work was wasted; a run that never fills a batch has
+        // more worker capacity than offered load.
         {
             auto &bank = sim::perf().bank("serve");
             static auto &batches = bank.counter("batches");
@@ -184,8 +183,6 @@ BatchScheduler::workerMain(int index)
         const double infer_us = usBetween(t0, t1);
         queue_.noteServiceTime(infer_us /
                                static_cast<double>(batch.size()));
-
-        const double batch_us = usBetween(first_pop, t_formed);
 
         // One shared execution span links every sampled member by id
         // (parented under the first sampled request so it shows up in
@@ -287,14 +284,12 @@ BatchScheduler::workerMain(int index)
             std::lock_guard<std::mutex> lock(*statsMutex_);
             stats_->distribution("batch_size")
                 .sample(static_cast<double>(batch.size()));
-            stats_->distribution("batch_us").sample(batch_us);
             stats_->counter("batches").inc();
         }
         auto &m = obs::metrics();
         if (m.enabled()) {
             m.sample("serve", "batch_size",
                      static_cast<double>(batch.size()));
-            m.sample("serve", "batch_us", batch_us);
             m.count("serve", "batches");
             m.count("serve", "served", batch.size());
             m.tick();

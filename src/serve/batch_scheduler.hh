@@ -4,22 +4,22 @@
  *
  * Each worker owns a private DnnBackend (backends keep per-agent
  * scratch and staged weight layouts, so they are never shared) and
- * loops: form a batch from the request queue under the configured
- * policy (max batch size, linger window, deadline-aware ordering),
- * stage parameters if the model version moved, run one forwardBatch,
- * and complete every request's promise with softmax/argmax/value.
+ * loops: take up to the max batch size of whatever is queued
+ * (deadline-aware ordering), stage parameters if the model version
+ * moved, run one forwardBatch, and complete every request's promise
+ * with softmax/argmax/value.
  *
- * This mirrors the paper's dedicated inference compute unit: batching
- * amortizes weight traffic and dispatch overhead across requests, and
- * the linger knob trades the latency of the first request in a batch
- * for the throughput of the whole batch (the DPU-style tuning knob
- * the motivation cites).
+ * This mirrors the paper's dedicated inference compute unit, which
+ * serves each task as soon as it is ready. Batch formation is
+ * work-conserving: a free worker never waits for company, so batches
+ * grow only when requests pile up while the workers are busy, and
+ * that is exactly when amortizing weight traffic and dispatch
+ * overhead across requests pays.
  */
 
 #ifndef FA3C_SERVE_BATCH_SCHEDULER_HH
 #define FA3C_SERVE_BATCH_SCHEDULER_HH
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,9 +39,6 @@ namespace fa3c::serve {
 struct BatchPolicy
 {
     int maxBatch = 16; ///< forwardBatch size cap
-    /** How long a partially filled batch waits for company. Zero
-     * dispatches immediately with whatever is queued. */
-    std::chrono::microseconds linger{2000};
 };
 
 /** Worker pool turning queued requests into completed responses. */
@@ -79,8 +76,7 @@ class BatchScheduler
 
     /**
      * Drain and join. The queue must be close()d first; every request
-     * still queued is served (fast path, no linger) before workers
-     * exit.
+     * still queued is served before workers exit.
      */
     void stop();
 

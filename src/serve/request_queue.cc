@@ -78,11 +78,8 @@ RequestQueue::admit(Request &&r)
 }
 
 bool
-RequestQueue::popBatch(std::size_t max_batch,
-                       std::chrono::microseconds linger,
-                       std::vector<Request> &out,
-                       std::vector<Request> &expired,
-                       Clock::time_point *first_pop)
+RequestQueue::popBatch(std::size_t max_batch, std::vector<Request> &out,
+                       std::vector<Request> &expired)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] {
@@ -92,30 +89,13 @@ RequestQueue::popBatch(std::size_t max_batch,
     if (items_.empty())
         return false; // closed and drained
 
-    const auto first = Clock::now();
-    if (first_pop)
-        *first_pop = first;
-    auto window_end = isClosed() ? first : first + linger;
-    for (;;) {
-        while (!items_.empty() && out.size() < max_batch) {
-            Request r = popTopLocked();
-            const auto now = Clock::now();
-            if (r.deadline <= now) {
-                expired.push_back(std::move(r));
-                continue;
-            }
-            // Never linger past a deadline we could still make.
-            if (r.deadline != kNoDeadline && r.deadline < window_end)
-                window_end = r.deadline;
+    const auto now = Clock::now();
+    while (!items_.empty() && out.size() < max_batch) {
+        Request r = popTopLocked();
+        if (r.deadline <= now)
+            expired.push_back(std::move(r));
+        else
             out.push_back(std::move(r));
-        }
-        if (out.size() >= max_batch || isClosed())
-            break;
-        if (out.empty())
-            break; // popped only expired requests; report them now
-        if (Clock::now() >= window_end)
-            break;
-        cv_.wait_until(lock, window_end);
     }
     return true;
 }

@@ -12,8 +12,9 @@
  *
  * Pop order is earliest-deadline-first by default (requests without a
  * deadline sort last, then by arrival), or pure FIFO when EDF is
- * disabled; popBatch() implements the scheduler's linger window so all
- * condition-variable logic lives in one place.
+ * disabled. popBatch() is work-conserving: it never holds a request
+ * back to wait for company, so a batch holds whatever queued up while
+ * the worker was busy.
  */
 
 #ifndef FA3C_SERVE_REQUEST_QUEUE_HH
@@ -58,34 +59,19 @@ class RequestQueue
      * Form one batch.
      *
      * Blocks until a request is available (or the queue is closed),
-     * then keeps collecting until @p max_batch requests are in hand or
-     * the linger window expires. The window closes early at the
-     * earliest deadline in the forming batch, so lingering never
-     * converts a servable request into a timeout; it is skipped
-     * entirely once the queue is closed (drain fast).
+     * then takes up to @p max_batch of whatever is queued and returns
+     * at once. Requests whose deadline has already passed land in
+     * @p expired instead of @p out and do not count against
+     * @p max_batch.
      *
-     * Requests whose deadline has already passed land in @p expired
-     * instead of @p out and do not count against @p max_batch.
-     *
-     * @param first_pop Out: when the first request was popped (the
-     *        batch-formation anchor); untouched if nothing was popped.
      * @return false when the queue is closed and fully drained (both
      *         output vectors empty); true otherwise.
      */
-    bool popBatch(std::size_t max_batch,
-                  std::chrono::microseconds linger,
-                  std::vector<Request> &out,
-                  std::vector<Request> &expired,
-                  Clock::time_point *first_pop = nullptr);
+    bool popBatch(std::size_t max_batch, std::vector<Request> &out,
+                  std::vector<Request> &expired);
 
     /** Reject future admits and wake all poppers to drain. */
     void close();
-
-    bool
-    isClosed() const
-    {
-        return closed_.load(std::memory_order_relaxed);
-    }
 
     std::size_t depth() const;
 

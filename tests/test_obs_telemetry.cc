@@ -359,7 +359,6 @@ TEST(TelemetryHttp, MetricsExposesServeHistogramsAndSlo)
     const nn::A3cNetwork net(net_cfg);
     serve::ServeConfig cfg;
     cfg.batch.maxBatch = 4;
-    cfg.batch.linger = 100us;
     cfg.workers = 1;
     serve::PolicyServer server(net, cfg);
     server.publish(net.makeParams());
@@ -407,7 +406,6 @@ TEST(SpanTracing, RequestChainIsConnectedAcrossPipeline)
     const nn::A3cNetwork net(net_cfg);
     serve::ServeConfig cfg;
     cfg.batch.maxBatch = 8;
-    cfg.batch.linger = 500us;
     cfg.workers = 1;
     {
         serve::PolicyServer server(net, cfg);

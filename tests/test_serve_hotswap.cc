@@ -46,7 +46,6 @@ TEST(ServeHotswap, SwapsNeverTearInFlightRequests)
     ServeConfig cfg;
     cfg.queue.maxDepth = 4096; // nothing should be rejected
     cfg.batch.maxBatch = 8;
-    cfg.batch.linger = 200us;
     cfg.workers = 2;
     cfg.backend = rl::BackendKind::FastCpu;
     PolicyServer server(net, cfg);
@@ -124,7 +123,6 @@ TEST(ServeHotswap, LateRequestsSeeTheNewestVersion)
 
     ServeConfig cfg;
     cfg.batch.maxBatch = 4;
-    cfg.batch.linger = 0us;
     cfg.workers = 1;
     PolicyServer server(net, cfg);
     server.publish(versionStampedParams(net, 1));

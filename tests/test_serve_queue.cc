@@ -1,4 +1,4 @@
-/** @file Admission control, ordering, and linger of RequestQueue. */
+/** @file Admission control, ordering, and batch formation of RequestQueue. */
 
 #include <chrono>
 #include <thread>
@@ -91,7 +91,7 @@ TEST(ServeQueue, ExpiredAccountingSurvivesPopBatch)
               Status::Ok);
     std::vector<Request> out;
     std::vector<Request> expired;
-    ASSERT_TRUE(queue.popBatch(4, 0us, out, expired));
+    ASSERT_TRUE(queue.popBatch(4, out, expired));
     EXPECT_EQ(out.size(), 1u);
     EXPECT_EQ(expired.size(), 2u);
     EXPECT_EQ(queue.depth(), 0u);
@@ -102,7 +102,7 @@ TEST(ServeQueue, ExpiredAccountingSurvivesPopBatch)
               Status::Ok);
     out.clear();
     expired.clear();
-    ASSERT_TRUE(queue.popBatch(4, 0us, out, expired));
+    ASSERT_TRUE(queue.popBatch(4, out, expired));
     EXPECT_EQ(out.size(), 1u);
     EXPECT_TRUE(expired.empty());
 }
@@ -118,7 +118,7 @@ TEST(ServeQueue, PopsEarliestDeadlineFirst)
 
     std::vector<Request> out;
     std::vector<Request> expired;
-    ASSERT_TRUE(queue.popBatch(4, 0us, out, expired));
+    ASSERT_TRUE(queue.popBatch(4, out, expired));
     ASSERT_EQ(out.size(), 4u);
     EXPECT_TRUE(expired.empty());
     EXPECT_EQ(out[0].id, 2u);
@@ -137,7 +137,7 @@ TEST(ServeQueue, FifoModePreservesArrivalOrder)
 
     std::vector<Request> out;
     std::vector<Request> expired;
-    ASSERT_TRUE(queue.popBatch(3, 0us, out, expired));
+    ASSERT_TRUE(queue.popBatch(3, out, expired));
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0].id, 1u);
     EXPECT_EQ(out[1].id, 2u);
@@ -156,7 +156,7 @@ TEST(ServeQueue, ExpiredRequestsAreSeparated)
 
     std::vector<Request> out;
     std::vector<Request> expired;
-    ASSERT_TRUE(queue.popBatch(4, 0us, out, expired));
+    ASSERT_TRUE(queue.popBatch(4, out, expired));
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].id, 2u);
     ASSERT_EQ(expired.size(), 1u);
@@ -171,24 +171,34 @@ TEST(ServeQueue, MaxBatchIsRespected)
 
     std::vector<Request> out;
     std::vector<Request> expired;
-    ASSERT_TRUE(queue.popBatch(2, 50ms, out, expired));
-    EXPECT_EQ(out.size(), 2u); // full batch returns without lingering
+    ASSERT_TRUE(queue.popBatch(2, out, expired));
+    EXPECT_EQ(out.size(), 2u);
     EXPECT_EQ(queue.depth(), 3u);
 }
 
-TEST(ServeQueue, LingerCollectsLateArrivals)
+TEST(ServeQueue, PartialBatchReturnsWithoutWaiting)
 {
     RequestQueue queue({.maxDepth = 16, .edf = true});
     ASSERT_EQ(queue.admit(makeRequest(1)), Status::Ok);
     std::thread late([&queue] {
-        std::this_thread::sleep_for(10ms);
+        std::this_thread::sleep_for(200ms);
         (void)queue.admit(makeRequest(2));
     });
     std::vector<Request> out;
     std::vector<Request> expired;
-    ASSERT_TRUE(queue.popBatch(2, 2s, out, expired));
+    const auto t0 = Clock::now();
+    ASSERT_TRUE(queue.popBatch(2, out, expired));
+    EXPECT_LT(Clock::now() - t0, 50ms);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].id, 1u);
+
+    // The next pop blocks until the late request arrives.
+    out.clear();
+    ASSERT_TRUE(queue.popBatch(2, out, expired));
     late.join();
-    EXPECT_EQ(out.size(), 2u);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].id, 2u);
+    EXPECT_TRUE(expired.empty());
 }
 
 TEST(ServeQueue, CloseDrainsThenSignalsShutdown)
@@ -200,10 +210,10 @@ TEST(ServeQueue, CloseDrainsThenSignalsShutdown)
 
     std::vector<Request> out;
     std::vector<Request> expired;
-    EXPECT_TRUE(queue.popBatch(4, 1s, out, expired)); // drains fast
+    EXPECT_TRUE(queue.popBatch(4, out, expired));
     EXPECT_EQ(out.size(), 1u);
     out.clear();
-    EXPECT_FALSE(queue.popBatch(4, 1s, out, expired));
+    EXPECT_FALSE(queue.popBatch(4, out, expired));
 }
 
 TEST(ServeQueue, CloseWakesBlockedPopper)
@@ -215,7 +225,7 @@ TEST(ServeQueue, CloseWakesBlockedPopper)
     });
     std::vector<Request> out;
     std::vector<Request> expired;
-    EXPECT_FALSE(queue.popBatch(4, 10s, out, expired));
+    EXPECT_FALSE(queue.popBatch(4, out, expired));
     closer.join();
 }
 

@@ -53,7 +53,6 @@ struct Fixture
         cfg.replicas = replicas;
         cfg.policy = policy;
         cfg.replica.batch.maxBatch = 4;
-        cfg.replica.batch.linger = 100us;
         cfg.replica.workers = 1;
         return cfg;
     }

@@ -1,5 +1,6 @@
 /** @file Batch formation, completion, and rejection of PolicyServer. */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -45,7 +46,6 @@ struct Fixture
         ServeConfig cfg;
         cfg.queue.maxDepth = 64;
         cfg.batch.maxBatch = max_batch;
-        cfg.batch.linger = 50ms;
         cfg.workers = 1;
         cfg.backend = rl::BackendKind::FastCpu;
         return cfg;
@@ -100,6 +100,26 @@ TEST(ServeScheduler, MaxBatchSplitsTheBacklog)
     }
     server.stop();
     EXPECT_EQ(server.statsSnapshot().counterValue("batches"), 2u);
+}
+
+TEST(ServeScheduler, IdleWorkerServesALoneRequestAtOnce)
+{
+    Fixture f;
+    PolicyServer server(f.net, ServeConfig{});
+    server.publish(f.params);
+    server.start();
+
+    // Sequential callers never overlap, so every request finds an idle
+    // worker and an otherwise empty queue. It must run as a batch of
+    // one at once instead of waiting for company that cannot come.
+    double min_queue_us = 1e9;
+    for (int i = 0; i < 8; ++i) {
+        const Response r = server.submitAndWait(f.observation(1.0f));
+        ASSERT_EQ(r.status, Status::Ok);
+        EXPECT_EQ(r.batchSize, 1);
+        min_queue_us = std::min(min_queue_us, r.queueUs);
+    }
+    EXPECT_LT(min_queue_us, 1000.0);
 }
 
 TEST(ServeScheduler, ResponseMatchesDirectForward)

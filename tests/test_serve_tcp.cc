@@ -114,7 +114,6 @@ struct Fixture
     {
         ServeConfig cfg;
         cfg.batch.maxBatch = 8;
-        cfg.batch.linger = 200us;
         cfg.workers = 1;
         return cfg;
     }
