@@ -118,7 +118,7 @@ runDist(const nn::A3cNetwork &net, int workers, int agents_per_worker,
     DistRun out;
     out.elapsedSec = elapsed;
     out.stepsPerSec =
-        elapsed > 0.0 ? static_cast<double>(ps.params().steps()) /
+        elapsed > 0.0 ? static_cast<double>(ps.params().globalSteps()) /
                             elapsed
                       : 0.0;
     out.version = ps.params().version();

@@ -50,8 +50,7 @@ sendMsg(int fd, wire::Type type, const wire::Gather &payload)
 PsServer::PsServer(const nn::A3cNetwork &net,
                    const PsServerConfig &cfg)
     : net_(net), cfg_(cfg),
-      params_(net, cfg.rmsprop, cfg.initialLr, cfg.annealSteps,
-              cfg.numShards),
+      params_(net, cfg.rmsprop, cfg.initialLr, cfg.annealSteps),
       leases_(std::chrono::milliseconds(
           cfg.leaseTtlMs > 0 ? cfg.leaseTtlMs : 1)),
       layoutCrc_(wire::layoutCrc(params_.layout()))
@@ -144,7 +143,7 @@ PsServer::start()
                     static_cast<double>(params_.version()),
                     "PS parameter version (accepted pushes)");
             w.gauge("fa3c_dist_ps_steps",
-                    static_cast<double>(params_.steps()),
+                    static_cast<double>(params_.globalSteps()),
                     "Global env steps consumed");
             w.gauge("fa3c_dist_active_leases",
                     static_cast<double>(leases_.active()),
@@ -166,9 +165,8 @@ PsServer::start()
     acceptThread_ = std::thread([this] { acceptMain(); });
     housekeeper_ = std::thread([this] { housekeeperMain(); });
     FA3C_INFORM("dist: ps listening on ", cfg_.bindAddress, ":",
-                port_, " (", params_.paramCount(), " params, ",
-                params_.numShards(), " shards, lease ttl ",
-                cfg_.leaseTtlMs, " ms)");
+                port_, " (", params_.paramCount(),
+                " params, lease ttl ", cfg_.leaseTtlMs, " ms)");
     return true;
 }
 
@@ -229,7 +227,7 @@ PsServer::stats() const
 {
     wire::StatsReply s;
     s.version = params_.version();
-    s.steps = params_.steps();
+    s.steps = params_.globalSteps();
     s.totalSteps = cfg_.totalSteps;
     s.activeLeases = static_cast<std::uint32_t>(leases_.active());
     s.joined = leases_.joined();
@@ -260,18 +258,16 @@ PsServer::writeCheckpoint()
     ckpt.algorithm = kPsAlgorithm;
     ckpt.theta = net_.makeParams();
     ckpt.rmspropG = net_.makeParams();
-    std::uint64_t version = 0;
     params_.checkpoint(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps,
-                       version);
-    ckpt.updates = version;
+                       ckpt.updates);
     if (!rl::saveCheckpointToFile(ckpt, cfg_.checkpointPath)) {
         FA3C_WARN("dist: ps checkpoint write to '",
                   cfg_.checkpointPath, "' failed");
         return false;
     }
     lastCheckpointSteps_ = ckpt.globalSteps;
-    FA3C_INFORM("dist: ps checkpoint at version ", version, ", step ",
-                ckpt.globalSteps, " -> ", cfg_.checkpointPath);
+    FA3C_INFORM("dist: ps checkpoint at version ", ckpt.updates,
+                ", step ", ckpt.globalSteps, " -> ", cfg_.checkpointPath);
     return true;
 }
 
@@ -324,7 +320,7 @@ PsServer::handleHello(int fd, const std::string &payload,
     wire::Welcome welcome;
     welcome.leaseTtlMs = cfg_.leaseTtlMs;
     welcome.version = params_.version();
-    welcome.steps = params_.steps();
+    welcome.steps = params_.globalSteps();
     welcome.totalSteps = cfg_.totalSteps;
     welcome.maxStaleness = cfg_.maxStaleness;
     // Wall-clock stamp for the worker's handshake clock-offset
@@ -369,10 +365,9 @@ PsServer::handlePull(int fd, ConnBuffers &buf, bool &proto_ok)
         pull.trace.traceId, pull.trace.spanId, pull.trace.sampled != 0);
     const auto t0 = Clock::now();
     wire::Params reply;
-    reply.version = params_.version();
-    params_.snapshot(buf.theta);
+    reply.version = params_.snapshot(buf.theta);
     reply.theta = buf.theta;
-    reply.steps = params_.steps();
+    reply.steps = params_.globalSteps();
     reply.stop = done() ? 1 : 0;
     obs::metrics().count("dist", "pulls");
     if (span.sampled) {
@@ -397,39 +392,41 @@ PsServer::handlePush(int fd, ConnBuffers &buf, bool &proto_ok)
     }
     auto &m = obs::metrics();
     const bool known = leases_.renew(push.workerId);
-    const std::uint64_t version = params_.version();
-    const std::uint64_t staleness =
-        version > push.baseVersion ? version - push.baseVersion : 0;
-    const bool stopped = done();
-    const bool accept = known && !stopped &&
-                        staleness <= cfg_.maxStaleness &&
-                        push.grads.size() == params_.paramCount();
-
-    wire::PushAck ack;
-    ack.accepted = accept ? 1 : 0;
-    // An unknown lease gets the sentinel staleness so the worker can
-    // tell "re-Hello" apart from "too stale, just resync".
-    ack.staleness =
-        known ? staleness : std::numeric_limits<std::uint64_t>::max();
     // The worker's push span context rides on the frame: the RMSProp
     // apply below is emitted as its child, so one trace_id covers
     // worker rollout -> wire -> PS apply across processes.
     const auto span = obs::remoteChildSpan(
         push.trace.traceId, push.trace.spanId, push.trace.sampled != 0);
-    if (accept) {
-        const auto t0 = Clock::now();
-        ack.version = params_.apply(push.grads, push.steps);
-        const auto t1 = Clock::now();
+    // A push from an unknown lease or after the run ended is refused
+    // (empty gradients), but still measured and answered with theta.
+    const auto t0 = Clock::now();
+    const rl::GlobalParams::PushResult res = params_.applyPush(
+        known && !done() ? push.grads : std::span<const float>{},
+        push.steps, push.baseVersion, cfg_.maxStaleness,
+        push.wantParams ? &buf.theta : nullptr);
+    const auto t1 = Clock::now();
+
+    wire::PushAck ack;
+    ack.accepted = res.applied ? 1 : 0;
+    ack.version = res.version;
+    ack.steps = res.steps;
+    // An unknown lease gets the sentinel staleness so the worker can
+    // tell "re-Hello" apart from "too stale, just resync".
+    ack.staleness = known ? res.staleness
+                          : std::numeric_limits<std::uint64_t>::max();
+    if (push.wantParams)
+        ack.theta = buf.theta;
+    if (res.applied) {
         if (span.sampled) {
             const std::array<obs::TraceArg, 2> args{
-                {{"staleness", static_cast<double>(staleness)},
+                {{"staleness", static_cast<double>(res.staleness)},
                  {"steps", static_cast<double>(push.steps)}}};
             obs::emitSpan(span, "dist.ps", "ps.apply", t0, t1, args);
         }
         if (m.enabled()) {
             m.count("dist", "pushes");
             m.sample("dist", "push_staleness",
-                     static_cast<double>(staleness));
+                     static_cast<double>(res.staleness));
             m.sample("dist", "apply_us",
                      std::chrono::duration<double, std::micro>(t1 - t0)
                          .count());
@@ -440,20 +437,13 @@ PsServer::handlePush(int fd, ConnBuffers &buf, bool &proto_ok)
             m.sample("dist", "grad_norm", std::sqrt(sumsq));
         }
         pushes_.fetch_add(1, std::memory_order_relaxed);
-        if (cfg_.totalSteps > 0 &&
-            params_.steps() >= cfg_.totalSteps)
+        if (cfg_.totalSteps > 0 && res.steps >= cfg_.totalSteps)
             markDone();
     } else {
-        ack.version = version;
         pushRejects_.fetch_add(1, std::memory_order_relaxed);
         m.count("dist", "push_rejects");
     }
-    ack.steps = params_.steps();
     ack.stop = done() ? 1 : 0;
-    if (push.wantParams) {
-        params_.snapshot(buf.theta);
-        ack.theta = buf.theta;
-    }
     wire::Gather out;
     wire::encodePushAck(out, ack);
     proto_ok = sendMsg(fd, wire::Type::PushAck, out);
@@ -581,7 +571,7 @@ PsServer::housekeeperMain()
         }
         if (cfg_.checkpointEverySteps > 0 &&
             !cfg_.checkpointPath.empty()) {
-            const std::uint64_t steps = params_.steps();
+            const std::uint64_t steps = params_.globalSteps();
             if (steps - lastCheckpointSteps_ >=
                 cfg_.checkpointEverySteps)
                 writeCheckpoint();

@@ -2,13 +2,16 @@
  * @file
  * The parameter-server process core.
  *
- * A PsServer owns the sharded global state (dist::ShardedParams), the
- * worker lease table (dist::LeaseTable), and a TCP endpoint speaking
- * dist::wire. Each accepted connection gets its own handler thread:
- * a worker Hellos once — the PS validates its parameter layout
- * against the server's network, grants a lease, and from then on
- * every Push renews the lease, runs the staleness check, and applies
- * the gradients through shared RMSProp.
+ * A PsServer owns the global parameter store (one rl::GlobalParams,
+ * the same store the in-process trainers use), the worker lease table
+ * (dist::LeaseTable), and a TCP endpoint speaking dist::wire. Each
+ * accepted connection gets its own handler thread: a worker Hellos
+ * once — the PS validates its parameter layout against the server's
+ * network, grants a lease, and from then on every Push renews the
+ * lease and goes through GlobalParams::applyPush, which runs the
+ * staleness check, the shared-RMSProp update and the theta copy for
+ * the ack under one lock. Every theta the PS sends (ack or Pull) is
+ * labelled with the version it was copied at.
  * A housekeeping thread reaps expired leases (a worker killed by
  * FA3C_FAULT_KILL_AGENT stops renewing and is dropped within one TTL;
  * a clean connection close reaps immediately) and writes periodic
@@ -43,11 +46,11 @@
 #include <vector>
 
 #include "dist/lease.hh"
-#include "dist/sharded_params.hh"
 #include "dist/wire.hh"
 #include "nn/a3c_network.hh"
 #include "nn/rmsprop.hh"
 #include "obs/telemetry.hh"
+#include "rl/global_params.hh"
 
 namespace fa3c::dist {
 
@@ -81,11 +84,10 @@ struct PsServerConfig
     float initialLr = 7e-4f;
     std::uint64_t annealSteps = 0;
 
-    int numShards = 8;
     std::uint64_t seed = 1; ///< theta init when no checkpoint loads
 };
 
-/** Parameter-server endpoint: sharded params + leases + TCP. */
+/** Parameter-server endpoint: global params + leases + TCP. */
 class PsServer
 {
   public:
@@ -122,13 +124,13 @@ class PsServer
     /** Counters for tests and the CLI (same data as a Stats RPC). */
     wire::StatsReply stats() const;
 
-    ShardedParams &params() { return params_; }
+    rl::GlobalParams &params() { return params_; }
     LeaseTable &leases() { return leases_; }
 
   private:
     const nn::A3cNetwork &net_;
     PsServerConfig cfg_;
-    ShardedParams params_;
+    rl::GlobalParams params_;
     LeaseTable leases_;
     std::uint32_t layoutCrc_ = 0;
 

@@ -132,10 +132,10 @@ maxReplyBytes(std::size_t count)
 }
 
 std::uint32_t
-layoutCrc(const nn::ParamSet &params)
+layoutCrc(const std::vector<nn::ParamSet::Segment> &layout)
 {
     sim::ByteWriter w;
-    for (const auto &seg : params.segments()) {
+    for (const auto &seg : layout) {
         w.writeBlob(seg.name);
         w.write(static_cast<std::uint64_t>(seg.offset));
         w.write(static_cast<std::uint64_t>(seg.count));

@@ -49,6 +49,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "net/frame.hh"
 #include "nn/params.hh"
@@ -180,7 +181,7 @@ struct StatsReply
 /** Layout fingerprint a Hello carries: CRC32 over the segment table
  * (names, offsets, counts), so mismatched networks are refused at
  * join time instead of corrupting the PS state. */
-std::uint32_t layoutCrc(const nn::ParamSet &params);
+std::uint32_t layoutCrc(const std::vector<nn::ParamSet::Segment> &layout);
 
 /**
  * Frame payload limits derived from the parameter layout, checked

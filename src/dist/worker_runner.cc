@@ -64,7 +64,7 @@ RemoteParams::joinLocked()
     wire::Hello hello;
     hello.workerName = name_;
     hello.paramCount = cache_.size();
-    hello.layoutCrc = wire::layoutCrc(cache_);
+    hello.layoutCrc = wire::layoutCrc(cache_.segments());
     hello.clientUnixUs = nowUnixUs();
     wire::Welcome welcome;
     const std::uint64_t t_send = hello.clientUnixUs;

@@ -258,7 +258,8 @@ A3cTrainer::checkpoint(bool include_agent_state)
     ckpt.algorithm = "a3c";
     ckpt.theta = net_.makeParams();
     ckpt.rmspropG = net_.makeParams();
-    global_.checkpoint(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps);
+    global_.checkpoint(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps,
+                       ckpt.updates);
     ckpt.scoreTail = scores_.tail(kScoreTailMax);
     if (include_agent_state) {
         ckpt.hasAgentState = true;
@@ -276,8 +277,7 @@ A3cTrainer::checkpoint(bool include_agent_state)
 bool
 A3cTrainer::restore(const TrainingCheckpoint &ckpt)
 {
-    if (ckpt.algorithm != "a3c" ||
-        !ckpt.theta.sameLayout(global_.theta()))
+    if (ckpt.algorithm != "a3c" || !global_.sameLayout(ckpt.theta))
         return false;
     if (ckpt.hasAgentState &&
         ckpt.agentStates.size() != agents_.size())
@@ -290,7 +290,8 @@ A3cTrainer::restore(const TrainingCheckpoint &ckpt)
                 return false;
         }
     }
-    global_.restore(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps);
+    global_.restore(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps,
+                    ckpt.updates);
     scores_.restore(ckpt.scoreTail);
     return true;
 }

@@ -59,8 +59,10 @@ struct TrainingCheckpoint
     nn::ParamSet theta;
     nn::ParamSet rmspropG;
     std::uint64_t globalSteps = 0;
-    /** Trainer-level update counters (PAAC/GA3C; 0 for A3C). */
+    /** Updates applied to the global parameters (the store's
+     * version). */
     std::uint64_t updates = 0;
+    /** GA3C predictor refresh counters. */
     std::uint64_t refreshes = 0;
     std::uint64_t updatesSinceRefresh = 0;
     /** Trainer-level action-sampling stream (PAAC/GA3C). */

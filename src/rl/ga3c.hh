@@ -78,7 +78,7 @@ class Ga3cTrainer
 
     GlobalParams &globalParams() { return global_; }
     const ScoreLog &scores() const { return scores_; }
-    std::uint64_t updatesApplied() const { return updates_; }
+    std::uint64_t updatesApplied() const { return global_.version(); }
     std::uint64_t predictorRefreshes() const { return refreshes_; }
 
     /** Max |theta_predict - theta_train| right now (the policy lag
@@ -142,7 +142,6 @@ class Ga3cTrainer
     /** Per-env activation caches for the batched predictor forward. */
     std::vector<nn::A3cNetwork::Activations> predictActs_;
     std::deque<QueuedRollout> trainingQueue_;
-    std::uint64_t updates_ = 0;
     std::uint64_t refreshes_ = 0;
     int updatesSinceRefresh_ = 0;
     std::uint64_t nextCheckpointAt_ = 0;

@@ -28,6 +28,15 @@ GlobalParams::snapshot(nn::ParamSet &local)
     local.copyFrom(theta_);
 }
 
+std::uint64_t
+GlobalParams::snapshot(std::vector<float> &out) const
+{
+    out.resize(theta_.size());
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::ranges::copy(theta_.flat(), out.begin());
+    return version();
+}
+
 nn::ParamSet
 GlobalParams::theta() const
 {
@@ -37,22 +46,25 @@ GlobalParams::theta() const
 
 void
 GlobalParams::checkpoint(nn::ParamSet &theta_out, nn::ParamSet &g_out,
-                         std::uint64_t &steps_out) const
+                         std::uint64_t &steps_out,
+                         std::uint64_t &version_out) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     theta_out.copyFrom(theta_);
     g_out.copyFrom(rmspropG_);
-    steps_out = globalSteps_.load(std::memory_order_relaxed);
+    steps_out = globalSteps();
+    version_out = version();
 }
 
 void
 GlobalParams::restore(const nn::ParamSet &theta, const nn::ParamSet &g,
-                      std::uint64_t steps)
+                      std::uint64_t steps, std::uint64_t version)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     theta_.copyFrom(theta);
     rmspropG_.copyFrom(g);
     globalSteps_.store(steps, std::memory_order_relaxed);
+    version_.store(version, std::memory_order_relaxed);
 }
 
 float
@@ -69,16 +81,47 @@ GlobalParams::currentLearningRate() const
 }
 
 void
+GlobalParams::applyLocked(std::span<const float> grads,
+                          std::uint64_t steps_consumed)
+{
+    const float lr = currentLearningRate();
+    if (lr > 0.0f)
+        nn::rmspropApply(theta_.flat(), rmspropG_.flat(), grads, lr,
+                         rmsprop_);
+    globalSteps_.fetch_add(steps_consumed, std::memory_order_relaxed);
+    version_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void
 GlobalParams::applyGradients(const nn::ParamSet &grads,
                              std::uint64_t steps_consumed)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const float lr = currentLearningRate();
-    if (lr > 0.0f) {
-        nn::rmspropApply(theta_.flat(), rmspropG_.flat(), grads.flat(),
-                         lr, rmsprop_);
+    applyLocked(grads.flat(), steps_consumed);
+}
+
+GlobalParams::PushResult
+GlobalParams::applyPush(std::span<const float> grads,
+                        std::uint64_t steps_consumed,
+                        std::uint64_t base_version,
+                        std::uint64_t max_staleness,
+                        std::vector<float> *theta_out)
+{
+    if (theta_out)
+        theta_out->resize(theta_.size());
+    std::lock_guard<std::mutex> lock(mutex_);
+    PushResult r;
+    const std::uint64_t v = version();
+    r.staleness = v > base_version ? v - base_version : 0;
+    if (r.staleness <= max_staleness && grads.size() == theta_.size()) {
+        applyLocked(grads, steps_consumed);
+        r.applied = true;
     }
-    globalSteps_.fetch_add(steps_consumed, std::memory_order_relaxed);
+    if (theta_out)
+        std::ranges::copy(theta_.flat(), theta_out->begin());
+    r.version = version();
+    r.steps = globalSteps();
+    return r;
 }
 
 } // namespace fa3c::rl

@@ -77,7 +77,7 @@ class PaacTrainer
     const ScoreLog &scores() const { return scores_; }
 
     /** Updates applied so far (one per synchronized batch). */
-    std::uint64_t updatesApplied() const { return updates_; }
+    std::uint64_t updatesApplied() const { return global_.version(); }
 
     /**
      * Capture the full training state. PAAC is synchronous, so
@@ -118,7 +118,6 @@ class PaacTrainer
     nn::ParamSet theta_;
     nn::ParamSet grads_;
     nn::A3cNetwork::Activations bootstrap_;
-    std::uint64_t updates_ = 0;
     std::uint64_t nextCheckpointAt_ = 0;
 
     /** One synchronized batch: rollouts + a single global update. */

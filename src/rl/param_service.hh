@@ -10,9 +10,10 @@
  *
  *  - rl::GlobalParams: the in-process shared theta + RMSProp of the
  *    classic single-process A3C trainers, and
- *  - dist::RemoteParams: a cached view of a parameter-server shard
- *    set reached over TCP (src/dist/), where applyGradients becomes
- *    a gradient push and snapshot serves the last pulled version.
+ *  - dist::RemoteParams: a cached view of the GlobalParams a
+ *    parameter server owns, reached over TCP (src/dist/), where
+ *    applyGradients becomes a gradient push and snapshot serves the
+ *    last pulled version.
  */
 
 #ifndef FA3C_RL_PARAM_SERVICE_HH

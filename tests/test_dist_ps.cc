@@ -2,10 +2,11 @@
  * End-to-end tests of the parameter-server core over real loopback
  * TCP: join/pull/push/heartbeat/stats/bye, layout-mismatch rejection
  * at Hello, the staleness bound in synchronous mode, lease expiry for
- * a silent worker, PS checkpoint/restore across a restart, the
- * equivalence of the sharded state with the in-process GlobalParams,
- * the layout-derived frame limit, the joining of ended connection
- * threads, and the worker's dist.update_norm sample.
+ * a silent worker, PS checkpoint/restore across a restart, one
+ * accepted push per version in synchronous mode, the version label of
+ * every theta the PS sends, the layout-derived frame limit, the
+ * joining of ended connection threads, and the worker's
+ * dist.update_norm sample.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -31,7 +34,6 @@
 
 #include "dist/ps_client.hh"
 #include "dist/ps_server.hh"
-#include "dist/sharded_params.hh"
 #include "dist/worker_runner.hh"
 #include "net/frame.hh"
 #include "nn/a3c_network.hh"
@@ -57,7 +59,7 @@ helloFor(const nn::A3cNetwork &net, const std::string &name)
     wire::Hello h;
     h.workerName = name;
     h.paramCount = net.makeParams().size();
-    h.layoutCrc = wire::layoutCrc(net.makeParams());
+    h.layoutCrc = wire::layoutCrc(net.makeParams().segments());
     return h;
 }
 
@@ -124,6 +126,21 @@ updateNormSamples()
                 out = {it->second.count(), it->second.sum()};
         });
     return out;
+}
+
+/** FNV-1a over the IEEE bit patterns of @p words. */
+std::uint64_t
+hashWords(std::span<const float> words)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const float v : words) {
+        const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+        for (int b = 0; b < 4; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
 }
 
 /** Poll @p pred for up to @p budget. */
@@ -286,6 +303,154 @@ TEST(DistPs, SyncModeRejectsStalePushes)
     ps.stop();
 }
 
+TEST(DistPs, SyncModeAcceptsOnePushPerVersion)
+{
+    // Two workers race in synchronous mode, each rebasing on the
+    // version of its last ack. A push is accepted only if no other
+    // push landed since its base, so every accepted ack must report
+    // exactly base + 1: the staleness check and the apply happen as
+    // one step on the PS.
+    const nn::A3cNetwork net(tinyNet());
+    PsServerConfig cfg;
+    cfg.maxStaleness = 0;
+    PsServer ps(net, cfg);
+    ASSERT_TRUE(ps.start());
+
+    constexpr int kClients = 2;
+    constexpr int kPushesPerClient = 4000;
+    const std::size_t count = net.makeParams().size();
+    const std::vector<float> grads(count, 0.01f);
+    std::atomic<int> accepted{0};
+    std::atomic<int> skipped_versions{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c)
+        clients.emplace_back([&, c] {
+            PsClient client;
+            wire::Welcome welcome;
+            if (!client.connect("127.0.0.1", ps.port()) ||
+                !client.hello(helloFor(net, c == 0 ? "w0" : "w1"),
+                              welcome)) {
+                failures.fetch_add(1);
+                return;
+            }
+            std::vector<float> theta(count);
+            wire::Push push;
+            push.workerId = welcome.workerId;
+            push.baseVersion = welcome.version;
+            push.steps = 1;
+            push.wantParams = 0;
+            push.grads = grads;
+            for (int i = 0; i < kPushesPerClient; ++i) {
+                wire::PushAck ack;
+                if (!client.push(push, ack, theta)) {
+                    failures.fetch_add(1);
+                    return;
+                }
+                if (ack.accepted != 0) {
+                    accepted.fetch_add(1);
+                    if (ack.version != push.baseVersion + 1)
+                        skipped_versions.fetch_add(1);
+                }
+                push.baseVersion = ack.version;
+            }
+        });
+    for (auto &t : clients)
+        t.join();
+
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_GT(accepted.load(), 0);
+    EXPECT_EQ(skipped_versions.load(), 0)
+        << "of " << accepted.load() << " accepted pushes";
+    EXPECT_EQ(ps.stats().pushes, static_cast<std::uint64_t>(accepted));
+    EXPECT_EQ(ps.params().version(),
+              static_cast<std::uint64_t>(accepted));
+    ps.stop();
+}
+
+TEST(DistPs, EveryThetaTheServerSendsCarriesItsVersion)
+{
+    // Two async workers push the same uniform gradient, so theta
+    // after k accepted pushes does not depend on who pushed them. A
+    // local GlobalParams replays k pushes for every k; each ack's
+    // theta must equal the replay at the version the ack names.
+    const nn::A3cNetwork net(tinyNet());
+    PsServerConfig cfg;
+    cfg.seed = 23;
+    PsServer ps(net, cfg);
+    ASSERT_TRUE(ps.start());
+
+    constexpr int kClients = 2;
+    constexpr int kPushesPerClient = 1000;
+    constexpr int kTotal = kClients * kPushesPerClient;
+    nn::ParamSet grads = net.makeParams();
+    for (float &g : grads.flat())
+        g = 0.25f;
+
+    std::vector<std::uint64_t> replay(kTotal + 1);
+    {
+        rl::GlobalParams local(net, cfg.rmsprop, cfg.initialLr,
+                               cfg.annealSteps);
+        sim::Rng rng(cfg.seed);
+        local.initialize(rng);
+        for (int k = 0; k <= kTotal; ++k) {
+            replay[static_cast<std::size_t>(k)] =
+                hashWords(local.theta().flat());
+            local.applyGradients(grads, 1);
+        }
+    }
+
+    const std::size_t count = grads.size();
+    std::atomic<int> mislabeled{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c)
+        clients.emplace_back([&, c] {
+            PsClient client;
+            wire::Welcome welcome;
+            if (!client.connect("127.0.0.1", ps.port()) ||
+                !client.hello(helloFor(net, c == 0 ? "w0" : "w1"),
+                              welcome)) {
+                failures.fetch_add(1);
+                return;
+            }
+            std::vector<float> theta(count);
+            wire::Push push;
+            push.workerId = welcome.workerId;
+            push.steps = 1;
+            push.wantParams = 1;
+            push.grads = grads.flat();
+            for (int i = 0; i < kPushesPerClient; ++i) {
+                wire::PushAck ack;
+                if (!client.push(push, ack, theta) ||
+                    ack.accepted == 0 || ack.version > kTotal ||
+                    ack.theta.size() != count) {
+                    failures.fetch_add(1);
+                    return;
+                }
+                if (hashWords(ack.theta) != replay[ack.version])
+                    mislabeled.fetch_add(1);
+                push.baseVersion = ack.version;
+            }
+        });
+    for (auto &t : clients)
+        t.join();
+
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(mislabeled.load(), 0) << "of " << kTotal << " acks";
+    EXPECT_EQ(ps.params().version(), static_cast<std::uint64_t>(kTotal));
+
+    // A Pull names the version of the theta it carries too.
+    PsClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", ps.port()));
+    std::vector<float> pulled(count);
+    wire::Params params;
+    ASSERT_TRUE(client.pull(params, pulled));
+    ASSERT_EQ(params.version, static_cast<std::uint64_t>(kTotal));
+    EXPECT_EQ(hashWords(pulled), replay[kTotal]);
+    ps.stop();
+}
+
 TEST(DistPs, PushFromReapedLeaseCarriesSentinelStaleness)
 {
     const nn::A3cNetwork net(tinyNet());
@@ -419,7 +584,7 @@ TEST(DistPs, CheckpointRestoreAcrossRestartPreservesEverything)
         }
         ps.params().snapshot(theta_before);
         version_before = ps.params().version();
-        steps_before = ps.params().steps();
+        steps_before = ps.params().globalSteps();
         ps.stop(); // writes the final checkpoint
     }
     ASSERT_TRUE(std::ifstream(file.path).good());
@@ -434,7 +599,7 @@ TEST(DistPs, CheckpointRestoreAcrossRestartPreservesEverything)
     PsServer ps(net, cfg);
     ASSERT_TRUE(ps.start());
     EXPECT_EQ(ps.params().version(), version_before);
-    EXPECT_EQ(ps.params().steps(), steps_before);
+    EXPECT_EQ(ps.params().globalSteps(), steps_before);
     std::vector<float> theta_after;
     ps.params().snapshot(theta_after);
     EXPECT_EQ(theta_after, theta_before);
@@ -471,54 +636,6 @@ TEST(DistPs, CorruptCheckpointRefusesToStart)
     cfg.checkpointPath = file.path;
     PsServer ps(net, cfg);
     EXPECT_FALSE(ps.start());
-}
-
-TEST(DistPs, ShardedParamsMatchesGlobalParamsExactly)
-{
-    const nn::A3cNetwork net(tinyNet());
-    nn::RmspropConfig rmsprop;
-    const float lr = 1e-3f;
-    const std::uint64_t anneal = 10000;
-
-    rl::GlobalParams reference(net, rmsprop, lr, anneal);
-    ShardedParams sharded(net, rmsprop, lr, anneal, 8);
-    {
-        sim::Rng rng(33);
-        reference.initialize(rng);
-    }
-    {
-        sim::Rng rng(33);
-        sharded.initialize(rng);
-    }
-
-    // Same deterministic gradient sequence through both: the sharded
-    // path must be bit-identical to the single-mutex GlobalParams —
-    // sharding changes locking, never arithmetic.
-    nn::ParamSet grads = net.makeParams();
-    sim::Rng grad_rng(91);
-    for (int round = 0; round < 5; ++round) {
-        for (float &g : grads.flat())
-            g = grad_rng.uniformF() - 0.5f;
-        reference.applyGradients(grads, 20);
-        sharded.apply(grads.flat(), 20);
-    }
-
-    EXPECT_EQ(sharded.version(), 5u);
-    EXPECT_EQ(sharded.steps(), reference.globalSteps());
-    EXPECT_FLOAT_EQ(sharded.currentLearningRate(),
-                    reference.currentLearningRate());
-
-    const nn::ParamSet ref_theta = reference.theta();
-    std::vector<float> sharded_theta;
-    sharded.snapshot(sharded_theta);
-    ASSERT_EQ(sharded_theta.size(), ref_theta.size());
-    float max_diff = 0.0f;
-    const auto ref_flat = ref_theta.flat();
-    for (std::size_t i = 0; i < sharded_theta.size(); ++i) {
-        const float d = sharded_theta[i] - ref_flat[i];
-        max_diff = std::max(max_diff, d < 0 ? -d : d);
-    }
-    EXPECT_EQ(max_diff, 0.0f);
 }
 
 TEST(DistPs, FrameOverTheLayoutLimitClosesOnlyThatConnection)

@@ -365,8 +365,8 @@ TEST(A3cTrainer, FastCpuSyncRunMatchesRecordedTrajectory)
 
         nn::ParamSet theta = net.makeParams();
         nn::ParamSet g = net.makeParams();
-        std::uint64_t steps = 0;
-        trainer.globalParams().checkpoint(theta, g, steps);
+        std::uint64_t steps = 0, version = 0;
+        trainer.globalParams().checkpoint(theta, g, steps, version);
         EXPECT_EQ(steps, pin.steps) << "fcSize " << pin.fcSize;
         EXPECT_EQ(hashWords(theta), pin.theta) << "fcSize " << pin.fcSize;
         EXPECT_EQ(hashWords(g), pin.g) << "fcSize " << pin.fcSize;
