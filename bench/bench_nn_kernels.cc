@@ -15,14 +15,21 @@
  * on the Table 1 net, run once per routine) and rmsprop_apply_ms
  * (nn::rmspropApply over the Table 1 Pong net's 677,943 words).
  *
+ * The conv layers also get one row per patch transform (im2col for
+ * FW and BW, im2row for GC) with its time and its memory rate: the
+ * patch matrix written plus the input read once, over the time.
+ * conv_fw_transform_share is im2col's share of conv FW, both layers
+ * summed, so FW cost drifting back into data movement shows.
+ *
  * Writes $FA3C_JSON_DIR/BENCH_nn_kernels.json with one row per
  * (layer, op) pair plus header fields fw_speedup_e2e /
  * bw_speedup_e2e / batch16_fw_speedup / small_layer_speedup /
- * int8_speedup / fp16_speedup / sync_stage_ms / rmsprop_apply_ms; CI
- * gates on fw_speedup_e2e >= 2, small_layer_speedup >= 1 (the
- * narrow-FC dot path must beat the panel GEMM it replaced) and
- * int8_speedup >= 1.5 (quantized batched forward on the wide serving
- * net vs fp32 FastCpuBackend), and trends the two routine passes.
+ * int8_speedup / fp16_speedup / sync_stage_ms / rmsprop_apply_ms /
+ * conv_fw_transform_share; CI gates on fw_speedup_e2e >= 2,
+ * small_layer_speedup >= 1 (the narrow-FC dot path must beat the
+ * panel GEMM it replaced) and int8_speedup >= 1.5 (quantized batched
+ * forward on the wide serving net vs fp32 FastCpuBackend), and trends
+ * the two routine passes and the transform share.
  *
  * Knobs: FA3C_NN_KERNELS_REPS (per-layer timing iterations, default
  * 30) and FA3C_NN_KERNELS_E2E_REPS (end-to-end iterations, default
@@ -34,6 +41,7 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.hh"
@@ -245,6 +253,44 @@ benchConvLayer(const char *name, const nn::ConvSpec &spec,
     return results;
 }
 
+struct TransformResult
+{
+    const char *layer;
+    const char *op;
+    double ms;
+    double gbps;
+};
+
+/** Times im2col and im2row on one conv layer's geometry. */
+std::vector<TransformResult>
+benchPatchTransforms(const char *name, const nn::ConvSpec &spec,
+                     std::uint64_t reps, sim::Rng &rng)
+{
+    std::vector<float> in(static_cast<std::size_t>(spec.inChannels) *
+                          static_cast<std::size_t>(spec.inHeight) *
+                          static_cast<std::size_t>(spec.inWidth));
+    randomize(in, rng);
+    std::vector<float> patches(nn::kernels::colSize(spec));
+    const double bytes =
+        static_cast<double>((patches.size() + in.size()) * sizeof(float));
+    const auto gbps = [bytes](double ms) { return bytes / (ms * 1e6); };
+    const double col_ms = timeMs(
+        [&] {
+            nn::kernels::im2col(spec, in.data(), patches.data());
+            benchmark::ClobberMemory();
+        },
+        reps);
+    const double row_ms = timeMs(
+        [&] {
+            nn::kernels::im2row(spec, in.data(), patches.data());
+            benchmark::ClobberMemory();
+        },
+        reps);
+    benchmark::DoNotOptimize(patches.data());
+    return {{name, "im2col", col_ms, gbps(col_ms)},
+            {name, "im2row", row_ms, gbps(row_ms)}};
+}
+
 std::vector<OpResult>
 benchFcLayer(const char *name, const nn::FcSpec &spec,
              std::uint64_t reps, sim::Rng &rng)
@@ -368,6 +414,37 @@ main(int, char **)
             .set("speedup", speedup);
     }
     std::printf("%s\n", table.render().c_str());
+
+    // --- Patch transforms inside the conv kernels -----------------
+    std::vector<TransformResult> transforms;
+    for (const auto &r :
+         benchPatchTransforms("conv1", net.conv1(), reps, rng))
+        transforms.push_back(r);
+    for (const auto &r :
+         benchPatchTransforms("conv2", net.conv2(), reps, rng))
+        transforms.push_back(r);
+    double conv_fw_ms = 0.0;
+    for (const auto &r : results)
+        if (std::string_view(r.op) == "fw" &&
+            std::string_view(r.layer).starts_with("conv"))
+            conv_fw_ms += r.fastMs;
+    double im2col_ms = 0.0;
+    sim::TextTable ttable({"Layer", "Transform", "ms", "GB/s"});
+    for (const auto &r : transforms) {
+        if (std::string_view(r.op) == "im2col")
+            im2col_ms += r.ms;
+        ttable.addRow({r.layer, r.op, sim::TextTable::num(r.ms, 4),
+                       sim::TextTable::num(r.gbps)});
+        report.addRow()
+            .set("layer", r.layer)
+            .set("op", r.op)
+            .set("fast_ms", r.ms)
+            .set("fast_gbps", r.gbps);
+    }
+    const double transform_share = im2col_ms / conv_fw_ms;
+    std::printf("%s\n", ttable.render().c_str());
+    std::printf("im2col share of conv FW (conv1 + conv2): %.1f%%\n\n",
+                transform_share * 100.0);
 
     // --- End-to-end network passes through the backends ----------
     nn::ParamSet params = net.makeParams();
@@ -662,6 +739,7 @@ main(int, char **)
     report.field("sync_stage_ms", sync_stage_ms);
     report.field("rmsprop_apply_ms", rmsprop_apply_ms);
     report.field("rmsprop_words", rmsprop_words);
+    report.field("conv_fw_transform_share", transform_share);
     report.field("kernel_isa", nn::kernels::isaName());
     report.field("reps", reps);
     report.field("e2e_reps", e2e_reps);

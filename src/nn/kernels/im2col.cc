@@ -1,8 +1,11 @@
 #include "nn/kernels/im2col.hh"
 
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "nn/kernels/gemm.hh"
+#include "nn/kernels/quant.hh"
 
 namespace fa3c::nn::kernels {
 
@@ -18,59 +21,66 @@ inRowBase(const ConvSpec &s, int i, int y)
 }
 
 /**
- * dst[0..n) = src[0..n*stride) at the given stride. The strided
- * gather is the whole cost of im2col for stride > 1 convolutions (the
- * autovectorizer won't emit gathers for it), so the common strides of
- * the paper's conv layers get shuffle-vectorized paths: 8 outputs per
- * step from 2 (stride 2) or 4 (stride 4) contiguous vector loads.
+ * Calls body(kernel, stride). The pairs the nets' conv layers use,
+ * 8/4 and 4/2 (Table 1) and 3/1 (the tiny net's conv2), arrive as
+ * compile-time constants, so the tap loops unroll and the strided
+ * reads get constant offsets; every other spec runs the same body
+ * with run-time ints.
  */
+template <typename Body>
 inline void
-gatherRow(float *FA3C_RESTRICT dst, const float *FA3C_RESTRICT src,
-          int n, int stride)
+withGeometry(const ConvSpec &spec, Body &&body)
 {
-#if defined(__GNUC__) && !defined(__clang__) || defined(__clang__)
-    typedef float v8 __attribute__((vector_size(32), aligned(4)));
-    const auto load = [](const float *p) {
-        v8 v;
-        __builtin_memcpy(&v, p, sizeof(v));
-        return v;
-    };
-    // Loop bounds use c + 8 < n (not <=) so every vector load stays
-    // within the span of gathered elements: the last load of an
-    // iteration reads a few floats past src[stride * (c + 7)], which
-    // must not cross the end of the tensor on the final row.
-    int c = 0;
-    if (stride == 2) {
-        for (; c + 8 < n; c += 8) {
-            const v8 a = load(src + 2 * c);
-            const v8 b = load(src + 2 * c + 8);
-            const v8 r = __builtin_shufflevector(a, b, 0, 2, 4, 6, 8,
-                                                 10, 12, 14);
-            __builtin_memcpy(dst + c, &r, sizeof(r));
+    using std::integral_constant;
+    if (spec.kernel == 8 && spec.stride == 4)
+        body(integral_constant<int, 8>{}, integral_constant<int, 4>{});
+    else if (spec.kernel == 4 && spec.stride == 2)
+        body(integral_constant<int, 4>{}, integral_constant<int, 2>{});
+    else if (spec.kernel == 3 && spec.stride == 1)
+        body(integral_constant<int, 3>{}, integral_constant<int, 1>{});
+    else
+        body(spec.kernel, spec.stride);
+}
+
+/**
+ * rows[p][0..row_stride) = patch p of in, zero-filled past
+ * patchSize(spec) (the int8 layout pads each row to whole quads).
+ */
+template <typename T>
+void
+im2rowPadded(const ConvSpec &spec, const T *in, T *rows,
+             std::size_t row_stride)
+{
+    withGeometry(spec, [&](auto kernel, auto stride) {
+        const int k = kernel;
+        const int s = stride;
+        const std::size_t pad = row_stride - patchSize(spec);
+        T *FA3C_RESTRICT dst = rows;
+        for (int r = 0; r < spec.outHeight(); ++r) {
+            for (int c = 0; c < spec.outWidth(); ++c) {
+                for (int i = 0; i < spec.inChannels; ++i) {
+                    for (int kr = 0; kr < k; ++kr) {
+                        // K contiguous input pixels per (i, kr). GCC
+                        // 12 copies K bytes one by one in the loop
+                        // form but in one move as a fixed-size
+                        // memcpy; K floats copy faster as the loop.
+                        const T *FA3C_RESTRICT src =
+                            in + inRowBase(spec, i, r * s + kr) +
+                            static_cast<std::size_t>(c * s);
+                        if constexpr (sizeof(T) == 1)
+                            std::memcpy(dst, src,
+                                        static_cast<std::size_t>(k));
+                        else
+                            for (int kc = 0; kc < k; ++kc)
+                                dst[kc] = src[kc];
+                        dst += k;
+                    }
+                }
+                for (std::size_t p = 0; p < pad; ++p)
+                    *dst++ = T{0};
+            }
         }
-    } else if (stride == 4) {
-        for (; c + 8 < n; c += 8) {
-            const v8 a = load(src + 4 * c);
-            const v8 b = load(src + 4 * c + 8);
-            const v8 d = load(src + 4 * c + 16);
-            const v8 e = load(src + 4 * c + 24);
-            const v8 lo =
-                __builtin_shufflevector(a, b, 0, 4, 8, 12, 0, 0, 0, 0);
-            const v8 hi =
-                __builtin_shufflevector(d, e, 0, 4, 8, 12, 0, 0, 0, 0);
-            const v8 r = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 8,
-                                                 9, 10, 11);
-            __builtin_memcpy(dst + c, &r, sizeof(r));
-        }
-    }
-    for (; c < n; ++c)
-        dst[c] = src[static_cast<std::size_t>(c) *
-                     static_cast<std::size_t>(stride)];
-#else
-    for (int c = 0; c < n; ++c)
-        dst[c] = src[static_cast<std::size_t>(c) *
-                     static_cast<std::size_t>(stride)];
-#endif
+    });
 }
 
 } // namespace
@@ -78,64 +88,47 @@ gatherRow(float *FA3C_RESTRICT dst, const float *FA3C_RESTRICT src,
 void
 im2col(const ConvSpec &spec, const float *in, float *col)
 {
-    const std::size_t ld = patchCount(spec);
-    const int oh = spec.outHeight();
-    const int ow = spec.outWidth();
-    const int stride = spec.stride;
-    float *FA3C_RESTRICT out = col;
-    for (int i = 0; i < spec.inChannels; ++i) {
-        for (int kr = 0; kr < spec.kernel; ++kr) {
-            for (int kc = 0; kc < spec.kernel; ++kc) {
-                // One filter tap -> one col row of all OH*OW samples.
+    withGeometry(spec, [&](auto kernel, auto stride) {
+        const int k = kernel;
+        const int s = stride;
+        const std::size_t ld = patchCount(spec);
+        const int oh = spec.outHeight();
+        const int ow = spec.outWidth();
+        float *taps = col;
+        for (int i = 0; i < spec.inChannels; ++i) {
+            for (int kr = 0; kr < k; ++kr) {
+                // Taps (i, kr, 0..K-1) are the next K col rows, and
+                // input row r*S + kr holds output row r of all of them.
                 for (int r = 0; r < oh; ++r) {
                     const float *FA3C_RESTRICT src =
-                        in + inRowBase(spec, i, r * stride + kr) +
-                        static_cast<std::size_t>(kc);
+                        in + inRowBase(spec, i, r * s + kr);
                     float *FA3C_RESTRICT dst =
-                        out + static_cast<std::size_t>(r) *
-                                  static_cast<std::size_t>(ow);
-                    if (stride == 1)
-                        std::memcpy(dst, src,
-                                    static_cast<std::size_t>(ow) *
-                                        sizeof(float));
-                    else
-                        gatherRow(dst, src, ow, stride);
+                        taps + static_cast<std::size_t>(r * ow);
+                    for (int kc = 0; kc < k; ++kc)
+                        for (int c = 0; c < ow; ++c)
+                            dst[static_cast<std::size_t>(kc) * ld +
+                                static_cast<std::size_t>(c)] =
+                                src[c * s + kc];
                 }
-                out += ld;
+                taps += static_cast<std::size_t>(k) * ld;
             }
         }
-    }
+    });
 }
 
 void
 im2row(const ConvSpec &spec, const float *in, float *rows)
 {
-    const int oh = spec.outHeight();
-    const int ow = spec.outWidth();
-    const int stride = spec.stride;
-    const int k = spec.kernel;
-    const std::size_t psize = patchSize(spec);
-    for (int r = 0; r < oh; ++r) {
-        for (int c = 0; c < ow; ++c) {
-            float *FA3C_RESTRICT dst =
-                rows + (static_cast<std::size_t>(r) *
-                            static_cast<std::size_t>(ow) +
-                        static_cast<std::size_t>(c)) *
-                           psize;
-            for (int i = 0; i < spec.inChannels; ++i) {
-                for (int kr = 0; kr < k; ++kr) {
-                    // K contiguous input pixels per (i, kr).
-                    const float *FA3C_RESTRICT src =
-                        in + inRowBase(spec, i, r * stride + kr) +
-                        static_cast<std::size_t>(c * stride);
-                    std::memcpy(dst, src,
-                                static_cast<std::size_t>(k) *
-                                    sizeof(float));
-                    dst += k;
-                }
-            }
-        }
-    }
+    im2rowPadded(spec, in, rows, patchSize(spec));
+}
+
+void
+im2row8(const ConvSpec &spec, const std::int8_t *in, std::int8_t *rows)
+{
+    im2rowPadded(
+        spec, in, rows,
+        static_cast<std::size_t>(
+            qrowStride(static_cast<int>(patchSize(spec)))));
 }
 
 void

@@ -14,6 +14,16 @@
  *
  * col2imAcc scatters a col-layout gradient back onto the input
  * feature maps (the adjoint of im2col).
+ *
+ * The transforms only move data, yet at the nets' sizes they take a
+ * large share of conv time, so they are plain index loops the
+ * compiler unrolls: im2col reads each input row once and writes it
+ * into all K taps of its kernel row, and im2row copies K contiguous
+ * pixels per (channel, kernel row). The (kernel, stride) pairs of the
+ * nets' conv layers (8/4, 4/2, 3/1) run as compile-time
+ * instantiations of the one body; every other spec runs it with
+ * run-time geometry. im2row8 (quant.hh), the int8 layout, shares the
+ * im2row body.
  */
 
 #ifndef FA3C_NN_KERNELS_IM2COL_HH

@@ -6,7 +6,6 @@
 
 #include "nn/kernels/dispatch.hh"
 #include "nn/kernels/gemm.hh"
-#include "nn/kernels/im2col.hh"
 
 namespace fa3c::nn::kernels {
 
@@ -207,49 +206,6 @@ hgemmAccPanels(int m, int n, int k, const float *a, int lda,
                const std::uint16_t *panels, float *c, int ldc)
 {
     ops().hgemmAccPanels(m, n, k, a, lda, panels, c, ldc);
-}
-
-void
-im2row8(const ConvSpec &spec, const std::int8_t *in, std::int8_t *rows)
-{
-    const int oh = spec.outHeight();
-    const int ow = spec.outWidth();
-    const int stride = spec.stride;
-    const int kk = spec.kernel;
-    const std::size_t psize = patchSize(spec);
-    const std::size_t rstride =
-        static_cast<std::size_t>(qrowStride(static_cast<int>(psize)));
-    const auto rowBase = [&spec](int i, int y) {
-        return (static_cast<std::size_t>(i) *
-                    static_cast<std::size_t>(spec.inHeight) +
-                static_cast<std::size_t>(y)) *
-               static_cast<std::size_t>(spec.inWidth);
-    };
-    for (int r = 0; r < oh; ++r) {
-        for (int c = 0; c < ow; ++c) {
-            std::int8_t *FA3C_RESTRICT dst =
-                rows + (static_cast<std::size_t>(r) *
-                            static_cast<std::size_t>(ow) +
-                        static_cast<std::size_t>(c)) *
-                           rstride;
-            for (int i = 0; i < spec.inChannels; ++i) {
-                for (int kr = 0; kr < kk; ++kr) {
-                    const std::int8_t *FA3C_RESTRICT src =
-                        in + rowBase(i, r * stride + kr) +
-                        static_cast<std::size_t>(c * stride);
-                    std::memcpy(dst, src, static_cast<std::size_t>(kk));
-                    dst += kk;
-                }
-            }
-            // Zero the quad-padding bytes so qgemm's madd reads 0.
-            for (std::size_t p = psize; p < rstride; ++p)
-                rows[(static_cast<std::size_t>(r) *
-                          static_cast<std::size_t>(ow) +
-                      static_cast<std::size_t>(c)) *
-                         rstride +
-                     p] = 0;
-        }
-    }
 }
 
 } // namespace fa3c::nn::kernels

@@ -151,7 +151,8 @@ void hgemmAccPanels(int m, int n, int k, const float *a, int lda,
 /**
  * Int8 im2row: rows[patchCount][qrowStride(patchSize)] = patches of
  * in[I][H][W], rows zero-padded to the quad-aligned stride
- * qgemmAccPanels requires. The int8 twin of im2row (im2col.hh).
+ * qgemmAccPanels requires. The int8 twin of im2row, built from the
+ * same body (im2col.cc).
  */
 void im2row8(const ConvSpec &spec, const std::int8_t *in,
              std::int8_t *rows);

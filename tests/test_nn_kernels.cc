@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "nn/kernels/fc.hh"
 #include "nn/kernels/gemm.hh"
 #include "nn/kernels/im2col.hh"
+#include "nn/kernels/quant.hh"
 #include "nn/layers.hh"
 #include "sim/rng.hh"
 #include "tensor/tensor.hh"
@@ -354,4 +356,107 @@ TEST(NnKernels, Im2colLaysOutPatchesByTap)
         5, 6, 8, 9, // patch at (1,1)
     };
     EXPECT_EQ(rows, expect_rows);
+}
+
+TEST(NnKernels, PatchTransformsMatchIndexFormula)
+{
+    // Every element of the patch layouts (fp32 im2col and im2row, the
+    // int8 im2row8) and the col2im scatter, bit for bit against the
+    // per-element index formula
+    //   patch (r, c), tap (i, kr, kc) <- in[i][r*S + kr][c*S + kc]
+    // on the zoo plus the tiny net's conv layers (4/2 on 21x21, 3/1 on
+    // 9x9), which covers the compile-time (kernel, stride) bodies and
+    // the run-time one. im2col and im2row start from NaN, so a skipped
+    // element fails; col2imAcc starts from a random base, so a write
+    // to an element no patch covers fails too.
+    std::vector<ConvSpec> specs = convSpecZoo();
+    specs.push_back({4, 21, 21, 8, 4, 2});
+    specs.push_back({8, 9, 9, 16, 3, 1});
+    const auto bits = [](float v) {
+        return std::bit_cast<std::uint32_t>(v);
+    };
+    sim::Rng rng(13);
+    for (const ConvSpec &spec : specs) {
+        SCOPED_TRACE(::testing::Message()
+                     << "I" << spec.inChannels << " " << spec.inHeight
+                     << "x" << spec.inWidth << " K" << spec.kernel
+                     << " S" << spec.stride);
+        const int k = spec.kernel;
+        const int s = spec.stride;
+        const std::size_t ld = kernels::patchCount(spec);
+        const std::size_t psize = kernels::patchSize(spec);
+        const tensor::Tensor in = convInput(spec, rng);
+        const auto at = [&](int i, int y, int x) {
+            return (static_cast<std::size_t>(i) *
+                        static_cast<std::size_t>(spec.inHeight) +
+                    static_cast<std::size_t>(y)) *
+                       static_cast<std::size_t>(spec.inWidth) +
+                   static_cast<std::size_t>(x);
+        };
+
+        const float nan = std::numeric_limits<float>::quiet_NaN();
+        std::vector<float> col(kernels::colSize(spec), nan);
+        std::vector<float> rows(kernels::colSize(spec), nan);
+        kernels::im2col(spec, in.data().data(), col.data());
+        kernels::im2row(spec, in.data().data(), rows.data());
+
+        // The int8 twin: neighbouring bytes differ, and every byte
+        // starts at -1, which neither a tap nor the zero pad writes.
+        std::vector<std::int8_t> in8(in.numel());
+        for (std::size_t j = 0; j < in8.size(); ++j)
+            in8[j] = static_cast<std::int8_t>(j * 37 % 127);
+        const std::size_t ld8 = static_cast<std::size_t>(
+            kernels::qrowStride(static_cast<int>(psize)));
+        std::vector<std::int8_t> rows8(ld * ld8, -1);
+        kernels::im2row8(spec, in8.data(), rows8.data());
+        for (std::size_t pos = 0; pos < ld; ++pos)
+            for (std::size_t p = psize; p < ld8; ++p)
+                ASSERT_EQ(rows8[pos * ld8 + p], 0)
+                    << "im2row8 pad of pos " << pos;
+
+        std::vector<float> g_col(kernels::colSize(spec));
+        randomize(std::span<float>(g_col), rng);
+        std::vector<float> base(in.numel());
+        randomize(std::span<float>(base), rng);
+        std::vector<float> got_grad = base;
+        std::vector<float> want_grad = base;
+        kernels::col2imAcc(spec, g_col.data(), got_grad.data());
+
+        // The scatter adds in (i, kr, kc, r, c) order, as col2imAcc
+        // does, so the sums round identically.
+        for (int i = 0; i < spec.inChannels; ++i)
+            for (int kr = 0; kr < k; ++kr)
+                for (int kc = 0; kc < k; ++kc) {
+                    const std::size_t tap =
+                        (static_cast<std::size_t>(i) *
+                             static_cast<std::size_t>(k) +
+                         static_cast<std::size_t>(kr)) *
+                            static_cast<std::size_t>(k) +
+                        static_cast<std::size_t>(kc);
+                    for (int r = 0; r < spec.outHeight(); ++r)
+                        for (int c = 0; c < spec.outWidth(); ++c) {
+                            const std::size_t pos =
+                                static_cast<std::size_t>(r) *
+                                    static_cast<std::size_t>(
+                                        spec.outWidth()) +
+                                static_cast<std::size_t>(c);
+                            const std::size_t src =
+                                at(i, r * s + kr, c * s + kc);
+                            const float want = in.data()[src];
+                            ASSERT_EQ(bits(col[tap * ld + pos]),
+                                      bits(want))
+                                << "im2col tap " << tap << " pos " << pos;
+                            ASSERT_EQ(bits(rows[pos * psize + tap]),
+                                      bits(want))
+                                << "im2row pos " << pos << " tap " << tap;
+                            ASSERT_EQ(rows8[pos * ld8 + tap], in8[src])
+                                << "im2row8 pos " << pos << " tap "
+                                << tap;
+                            want_grad[src] += g_col[tap * ld + pos];
+                        }
+                }
+        for (std::size_t j = 0; j < want_grad.size(); ++j)
+            ASSERT_EQ(bits(got_grad[j]), bits(want_grad[j]))
+                << "col2imAcc element " << j;
+    }
 }

@@ -5,7 +5,11 @@
  * through the config backend field, and checkpoint compatibility.
  */
 
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,6 +57,21 @@ randomObs(const nn::A3cNetwork &net, sim::Rng &rng)
                                       net.config().inWidth}));
     randomize(obs, rng);
     return obs;
+}
+
+/** FNV-1a over the IEEE bit patterns of @p words. */
+std::uint64_t
+hashWords(std::span<const float> words)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const float v : words) {
+        const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+        for (int b = 0; b < 4; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
 }
 
 } // namespace
@@ -112,6 +131,55 @@ TEST(FastCpuBackend, BackwardMatchesReference)
     for (const auto &seg : g_ref.segments())
         expectAllClose(g_fast.view(seg.name), g_ref.view(seg.name),
                        kGradUlp, kGradAbs, seg.name.c_str());
+}
+
+TEST(FastCpuBackend, Table1PassesMatchRecordedHashes)
+{
+    // Pins one FastCpu forward and one backward on the Table 1 Pong
+    // net word for word. The trajectory pins run only the tiny net,
+    // which never takes the 8x8/stride-4 conv1 path. The constants
+    // were recorded while im2col still ran the shuffle gather and
+    // im2row a memcpy per tap row; the plain-loop transforms only move
+    // data, and every kernel ISA tier
+    // (FA3C_KERNELS_ISA=generic|avx2|avx512) must match too.
+    const nn::A3cNetwork net(
+        nn::NetConfig::atari(env::makePong(0)->numActions()));
+    sim::Rng rng(43);
+    nn::ParamSet params = net.makeParams();
+    net.initParams(params, rng);
+    FastCpuBackend fast(net);
+    fast.onParamSync(params);
+
+    const tensor::Tensor obs = randomObs(net, rng);
+    nn::A3cNetwork::Activations act = net.makeActivations();
+    fast.forward(params, obs, act);
+    EXPECT_EQ(hashWords(act.conv1Pre.data()), 0x12613bb5053f5b9dull)
+        << "conv1Pre";
+    EXPECT_EQ(hashWords(act.conv2Pre.data()), 0x662dca37528bed23ull)
+        << "conv2Pre";
+    EXPECT_EQ(hashWords(act.fc3Pre.data()), 0x681ff34f55211fffull)
+        << "fc3Pre";
+    EXPECT_EQ(hashWords(act.out.data()), 0xa6d79f009248d498ull)
+        << "out";
+
+    tensor::Tensor g_out(tensor::Shape({net.outSize()}));
+    randomize(g_out, rng);
+    nn::ParamSet grads = net.makeParams();
+    fast.backward(params, act, g_out, grads);
+    const std::map<std::string, std::uint64_t> want = {
+        {"conv1.w", 0x74d5ac15a7059948ull},
+        {"conv1.b", 0x6d09e4312e025b66ull},
+        {"conv2.w", 0x3de13233f8a3ebcbull},
+        {"conv2.b", 0x191b939d0fb070c6ull},
+        {"fc3.w", 0x508847f280a1634bull},
+        {"fc3.b", 0xc6840a72115ea941ull},
+        {"fc4.w", 0xd9d96f2b2c8a6adfull},
+        {"fc4.b", 0x4216f7a3524df9c4ull},
+    };
+    ASSERT_EQ(grads.segments().size(), want.size());
+    for (const auto &seg : grads.segments())
+        EXPECT_EQ(hashWords(grads.view(seg.name)), want.at(seg.name))
+            << seg.name;
 }
 
 TEST(FastCpuBackend, ForwardBatchBitExactWithSingleForward)
