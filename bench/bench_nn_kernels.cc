@@ -24,7 +24,7 @@
  * Writes $FA3C_JSON_DIR/BENCH_nn_kernels.json with one row per
  * (layer, op) pair plus header fields fw_speedup_e2e /
  * bw_speedup_e2e / batch16_fw_speedup / small_layer_speedup /
- * int8_speedup / fp16_speedup / sync_stage_ms / rmsprop_apply_ms /
+ * int8_speedup / sync_stage_ms / rmsprop_apply_ms /
  * conv_fw_transform_share; CI gates on fw_speedup_e2e >= 2,
  * small_layer_speedup >= 1 (the narrow-FC dot path must beat the
  * panel GEMM it replaced) and int8_speedup >= 1.5 (quantized batched
@@ -575,11 +575,11 @@ main(int, char **)
     benchmark::DoNotOptimize(rms_theta.flat().data());
     const std::uint64_t rmsprop_words = rms_theta.flat().size();
 
-    // --- Quantized backends on the wide serving net ---------------
+    // --- Quantized backend on the wide serving net ----------------
     // The paper-geometry FC3 (2592x256) is too narrow to expose the
     // weight-bandwidth win; the serving configuration (fcSize 1024)
     // is where int8 pays. Batch-16 forward, fp32 FastCpuBackend as
-    // the baseline for both quantized modes.
+    // the baseline, the two timed interleaved.
     nn::NetConfig wcfg = nn::NetConfig::atari(cfg.numActions);
     wcfg.fcSize = 1024;
     const nn::A3cNetwork wnet(wcfg);
@@ -587,11 +587,9 @@ main(int, char **)
     wnet.initParams(wparams, rng);
 
     rl::FastCpuBackend wfast(wnet);
-    rl::QuantCpuBackend wq8(wnet, nn::QuantMode::Int8);
-    rl::QuantCpuBackend wf16(wnet, nn::QuantMode::Fp16);
+    rl::QuantCpuBackend wq8(wnet);
     wfast.onParamSync(wparams);
     wq8.onParamSync(wparams);
-    wf16.onParamSync(wparams);
 
     std::vector<tensor::Tensor> wobs_store;
     std::vector<nn::A3cNetwork::Activations> wacts_store;
@@ -611,13 +609,10 @@ main(int, char **)
     const auto wide_ms = timeManyMs(
         wide_reps,
         {[&] { wfast.forwardBatch(wparams, wobs, wacts); },
-         [&] { wq8.forwardBatch(wparams, wobs, wacts); },
-         [&] { wf16.forwardBatch(wparams, wobs, wacts); }});
+         [&] { wq8.forwardBatch(wparams, wobs, wacts); }});
     const double wide_fp32_ms = wide_ms[0];
     const double wide_int8_ms = wide_ms[1];
-    const double wide_fp16_ms = wide_ms[2];
     const double int8_speedup = wide_fp32_ms / wide_int8_ms;
-    const double fp16_speedup = wide_fp32_ms / wide_fp16_ms;
 
     sim::TextTable e2e({"End-to-end pass", "Golden ms", "Fast ms",
                         "Speedup"});
@@ -639,10 +634,6 @@ main(int, char **)
                 sim::TextTable::num(wide_fp32_ms, 3),
                 sim::TextTable::num(wide_int8_ms, 3),
                 sim::TextTable::num(int8_speedup) + "x"});
-    e2e.addRow({"wide net x16: fp32 vs fp16",
-                sim::TextTable::num(wide_fp32_ms, 3),
-                sim::TextTable::num(wide_fp16_ms, 3),
-                sim::TextTable::num(fp16_speedup) + "x"});
     std::printf("%s\n", e2e.render().c_str());
     std::printf("Parameter sync staging (Table 1 net): %.3f ms\n",
                 sync_stage_ms);
@@ -735,7 +726,6 @@ main(int, char **)
     report.field("batch16_fw_speedup", batch_speedup);
     report.field("small_layer_speedup", small_speedup);
     report.field("int8_speedup", int8_speedup);
-    report.field("fp16_speedup", fp16_speedup);
     report.field("sync_stage_ms", sync_stage_ms);
     report.field("rmsprop_apply_ms", rmsprop_apply_ms);
     report.field("rmsprop_words", rmsprop_words);
@@ -773,11 +763,5 @@ main(int, char **)
         .set("golden_ms", wide_fp32_ms)
         .set("fast_ms", wide_int8_ms)
         .set("speedup", int8_speedup);
-    report.addRow()
-        .set("layer", "net_wide")
-        .set("op", "fw_batch16_fp16")
-        .set("golden_ms", wide_fp32_ms)
-        .set("fast_ms", wide_fp16_ms)
-        .set("speedup", fp16_speedup);
     return 0;
 }

@@ -11,10 +11,10 @@
  *
  * Options:
  *     --backend <name>       datapath (default), reference, fast,
- *                            int8, or fp16; the non-datapath names run
- *                            on the CPU layer libraries (no cycle
- *                            counters); int8/fp16 use quantized
- *                            inference with fp32 training
+ *                            or int8; the non-datapath names run on
+ *                            the CPU layer libraries (no cycle
+ *                            counters); int8 uses quantized inference
+ *                            with fp32 training
  *     --checkpoint <path>    write crash-safe checkpoints to <path>
  *     --checkpoint-every <n> checkpoint every n env steps
  *     --resume               restore <path> before training (missing
@@ -65,7 +65,7 @@ main(int argc, char **argv)
                 !rl::tryBackendKindFromName(backend_name)) {
                 std::fprintf(stderr,
                              "unknown backend: %s (want "
-                             "datapath|reference|fast|int8|fp16)\n",
+                             "datapath|reference|fast|int8)\n",
                              backend_name.c_str());
                 return 2;
             }

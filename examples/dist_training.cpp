@@ -19,7 +19,7 @@
  *     --workers <n>          forked worker processes (launch; default 2)
  *     --agents <n>           A3C agents per worker (default 2)
  *     --backend <name>       worker DNN backend: reference|fast|int8|
- *                            fp16|datapath (default fast)
+ *                            datapath (default fast)
  *     --name <s>             worker name (default worker)
  *     --sync                 staleness bound 0 (serialized updates)
  *     --staleness <n>        explicit staleness bound (default
@@ -511,7 +511,7 @@ main(int argc, char **argv)
                 !rl::tryBackendKindFromName(opt.backend)) {
                 std::fprintf(stderr,
                              "unknown backend: %s (want datapath|"
-                             "reference|fast|int8|fp16)\n",
+                             "reference|fast|int8)\n",
                              opt.backend.c_str());
                 return 2;
             }

@@ -16,7 +16,7 @@
  *     --workers <n>     inference worker threads per replica
  *                       (default 1)
  *     --max-batch <n>   dynamic batch size cap (default 16)
- *     --backend <name>  reference, fast, int8, or fp16 (default fast)
+ *     --backend <name>  reference, fast, or int8 (default fast)
  *     --replicas <n>    PolicyServer replicas behind the router
  *                       (default 1)
  *     --policy <name>   least-loaded or hash (consistent hash by
@@ -179,7 +179,7 @@ main(int argc, char **argv)
     if (!maybe_backend) {
         std::fprintf(stderr,
                      "unknown backend: %s (want "
-                     "reference|fast|int8|fp16)\n",
+                     "reference|fast|int8)\n",
                      backend_name.c_str());
         return 2;
     }

@@ -13,10 +13,7 @@ namespace {
 bool
 cpuHasAvx2Set()
 {
-    // f16c covers the fp16 panel loads; every CPU with AVX2 in the
-    // wild has it, but the table is only safe if both are present.
-    return __builtin_cpu_supports("avx2") &&
-           __builtin_cpu_supports("f16c");
+    return __builtin_cpu_supports("avx2");
 }
 
 bool
@@ -71,7 +68,7 @@ resolve()
             }
             if (!cpuHasAvx2Set()) {
                 FA3C_WARN("FA3C_KERNELS_ISA=avx2 but this CPU lacks "
-                          "AVX2/F16C; using generic");
+                          "AVX2; using generic");
                 return generic;
             }
             return avx2;

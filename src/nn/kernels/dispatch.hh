@@ -4,7 +4,7 @@
  *
  * The kernel bodies in kernel_impl.inl are compiled three times:
  * with the portable baseline flags (kernels_generic.cc), with -mavx2
- * -mf16c (kernels_avx2.cc), and with the AVX-512 F/BW/DQ/VL/VNNI set
+ * (kernels_avx2.cc), and with the AVX-512 F/BW/DQ/VL/VNNI set
  * (kernels_avx512.cc). ops() picks the widest table the running CPU
  * supports, checked once via CPUID, so a single binary runs
  * everywhere — replacing the old -march=native build flag that could
@@ -17,8 +17,7 @@
  * one C element per lane for the whole k loop, and kernels whose
  * result depends on the lane count (the fcDotRows lane sum) keep a
  * fixed 8-lane structure on every tier. The int8 kernels are exact
- * integer arithmetic and the fp16 loads are exact IEEE half->float
- * conversions. Switching ISA — or overriding it with
+ * integer arithmetic. Switching ISA — or overriding it with
  * FA3C_KERNELS_ISA=generic|avx2|avx512 — never changes results, only
  * speed.
  */
@@ -65,14 +64,6 @@ struct KernelOps {
     /** Plain int8 dot product with int32 accumulate (small-N path). */
     std::int32_t (*qdot)(int k, const std::int8_t *a,
                          const std::int8_t *b);
-    /**
-     * Fp16-storage GEMM: C[m x n] += A[m x k] * half2float(B), with B
-     * packed by halfPackPanels. Same fp32 accumulation order as
-     * gemmAccPanels; the half->float conversion is exact.
-     */
-    void (*hgemmAccPanels)(int m, int n, int k, const float *a,
-                           int lda, const std::uint16_t *panels,
-                           float *c, int ldc);
     /**
      * q[i] = clamp(rne(x[i] * inv), -127, 127). Round-to-nearest-even
      * under the default FP environment on every implementation.

@@ -1,6 +1,6 @@
 // AVX2 instantiation of the ISA-specialized kernel bodies (see
-// kernel_impl.inl). The build compiles this TU with -mavx2 -mf16c
-// when the compiler supports them; dispatch.cc only selects the
+// kernel_impl.inl). The build compiles this TU with -mavx2 when the
+// compiler supports it; dispatch.cc only selects the
 // resulting table after checking CPUID, so the binary as a whole
 // stays runnable on pre-AVX2 hosts. If the flags are unavailable the
 // TU degrades to a portable duplicate and avx2Ops() reports null.
@@ -14,7 +14,7 @@
 #include "nn/kernels/gemm.hh"
 #include "nn/kernels/quant.hh"
 
-#if defined(__AVX2__) && defined(__F16C__)
+#if defined(__AVX2__)
 #define FA3C_ISA_AVX2 1
 #else
 #define FA3C_ISA_AVX2 0

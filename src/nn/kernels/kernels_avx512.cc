@@ -8,7 +8,7 @@
 // portable duplicate and avx512Ops() reports null.
 //
 // What the extra ISA buys over the AVX2 table: 16-lane (zmm)
-// register tiles for the fp32/fp16 panel GEMMs with MR=8 rows out of
+// register tiles for the fp32 GEMMs with MR=8 rows out of
 // the doubled register file, and single-instruction u8 x s8 quad
 // macs (vpdpbusd) in the int8 GEMM. All of it is bit-identical to
 // the other tables — the tiles keep one C element per lane and the
@@ -25,7 +25,7 @@
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) &&                  \
     defined(__AVX512DQ__) && defined(__AVX512VL__) &&                 \
-    defined(__AVX512VNNI__) && defined(__AVX2__) && defined(__F16C__)
+    defined(__AVX512VNNI__) && defined(__AVX2__)
 #define FA3C_ISA_AVX2 1
 #define FA3C_ISA_AVX512 1
 #else

@@ -2,8 +2,8 @@
  * @file
  * Quantized-inference kernel utilities: int8 weight/activation
  * quantization, the pair-interleaved int8 panel layout consumed by
- * qgemmAccPanels, IEEE-half storage conversion for the fp16 panels,
- * and the int8 im2row transform for quantized convolution.
+ * qgemmAccPanels, and the int8 im2row transform for quantized
+ * convolution.
  *
  * Quantization scheme (per-output-channel weights, unsigned
  * activations):
@@ -122,31 +122,6 @@ void qgemmAccPanels(int m, int n, int k, const std::int8_t *a, int lda,
  * matches the qgemmAccPanels interpretation exactly.
  */
 std::int32_t qdot(int k, const std::int8_t *a, const std::int8_t *b);
-
-/** Round-to-nearest-even float -> IEEE binary16 conversion. */
-std::uint16_t floatToHalf(float v);
-
-/** Exact IEEE binary16 -> float conversion. */
-float halfToFloat(std::uint16_t h);
-
-/** Halfs halfPackPanels needs for a k x n B matrix. */
-std::size_t halfPanelSize(int n, int k);
-
-/**
- * Pack row-major B[k x n] into kGemmPanelWidth-column half panels
- * (same geometry as gemmPackPanels, fp16 storage). Conversion is
- * floatToHalf (rne); the last panel is zero-padded.
- */
-void halfPackPanels(int n, int k, const float *b, int ldb,
-                    std::uint16_t *panels);
-
-/**
- * C[m x n] += A[m x k] * half2float(B), B packed by halfPackPanels.
- * Same fp32 accumulation order as gemmAccPanels; bit-identical
- * across ISAs (the half->float loads are exact).
- */
-void hgemmAccPanels(int m, int n, int k, const float *a, int lda,
-                    const std::uint16_t *panels, float *c, int ldc);
 
 /**
  * Int8 im2row: rows[patchCount][qrowStride(patchSize)] = patches of

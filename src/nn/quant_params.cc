@@ -1,7 +1,5 @@
 #include "nn/quant_params.hh"
 
-#include <cstring>
-
 #include "nn/kernels/fc.hh"
 #include "nn/kernels/gemm.hh"
 #include "nn/kernels/im2col.hh"
@@ -69,54 +67,28 @@ packInt8Rows(const float *w, int rows, int cols)
     return out;
 }
 
-/** halfPackPanels of wT[cols x rows] (the fp32 panel geometry). */
-std::vector<std::uint16_t>
-packHalf(const float *w, int rows, int cols)
-{
-    std::vector<float> wT(static_cast<std::size_t>(rows) *
-                          static_cast<std::size_t>(cols));
-    kernels::transpose(w, rows, cols, wT.data());
-    std::vector<std::uint16_t> panels(
-        kernels::halfPanelSize(rows, cols));
-    kernels::halfPackPanels(rows, cols, wT.data(), rows,
-                            panels.data());
-    return panels;
-}
-
 } // namespace
 
 QuantizedModel
-quantizeModel(const A3cNetwork &net, const ParamSet &params,
-              QuantMode mode)
+quantizeModel(const A3cNetwork &net, const ParamSet &params)
 {
     QuantizedModel q;
-    q.mode = mode;
-    const auto conv1W = params.view("conv1.w");
-    const auto conv2W = params.view("conv2.w");
-    const auto fc3W = params.view("fc3.w");
-    const auto fc4W = params.view("fc4.w");
-    const int fc3In = net.fc3().inFeatures;
-    const int fc3Out = net.fc3().outFeatures;
+    const int taps1 = static_cast<int>(kernels::patchSize(net.conv1()));
+    const int taps2 = static_cast<int>(kernels::patchSize(net.conv2()));
     const int fc4In = net.fc4().inFeatures;
     const int fc4Out = net.fc4().outFeatures;
+    const auto fc4W = params.view("fc4.w");
+    q.conv1 = packInt8(params.view("conv1.w").data(),
+                       net.conv1().outChannels, taps1);
+    q.conv2 = packInt8(params.view("conv2.w").data(),
+                       net.conv2().outChannels, taps2);
+    q.fc3 = packInt8(params.view("fc3.w").data(), net.fc3().outFeatures,
+                     net.fc3().inFeatures);
     q.fc4Small = fc4Out < kernels::kSmallFcMaxOut;
-    if (mode == QuantMode::Int8) {
-        const int taps1 = static_cast<int>(kernels::patchSize(net.conv1()));
-        const int taps2 = static_cast<int>(kernels::patchSize(net.conv2()));
-        q.conv1 = packInt8(conv1W.data(), net.conv1().outChannels,
-                           taps1);
-        q.conv2 = packInt8(conv2W.data(), net.conv2().outChannels,
-                           taps2);
-        q.fc3 = packInt8(fc3W.data(), fc3Out, fc3In);
-        if (q.fc4Small)
-            q.fc4Rows = packInt8Rows(fc4W.data(), fc4Out, fc4In);
-        else
-            q.fc4 = packInt8(fc4W.data(), fc4Out, fc4In);
-    } else {
-        q.fc3Half = packHalf(fc3W.data(), fc3Out, fc3In);
-        if (!q.fc4Small)
-            q.fc4Half = packHalf(fc4W.data(), fc4Out, fc4In);
-    }
+    if (q.fc4Small)
+        q.fc4Rows = packInt8Rows(fc4W.data(), fc4Out, fc4In);
+    else
+        q.fc4 = packInt8(fc4W.data(), fc4Out, fc4In);
     return q;
 }
 

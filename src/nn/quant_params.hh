@@ -1,18 +1,13 @@
 /**
  * @file
- * Quantized parameter images for the inference backends.
+ * Quantized parameter image for the int8 inference backend.
  *
  * quantizeModel() derives, from a fp32 ParamSet, the staged weight
- * images the quantized backends consume:
- *
- *  - Int8: per-output-channel symmetric int8 weights (scale
- *    maxabs/127) for both conv layers and both FC layers, packed
- *    into the quad-interleaved qgemm panel layout (kernels/quant.hh);
- *    a small-output FC head (fc4) instead keeps canonical int8 rows
- *    for the dot-product path.
- *  - Fp16: IEEE-half storage of the FC weight panels (the conv trunk
- *    stays fp32 — its weights are a rounding error of the model size,
- *    and the fp32 conv kernels already stream them well).
+ * image the quantized backend consumes: per-output-channel symmetric
+ * int8 weights (scale maxabs/127) for both conv layers and both FC
+ * layers, packed into the quad-interleaved qgemm panel layout
+ * (kernels/quant.hh); a small-output FC head (fc4) instead keeps
+ * canonical int8 rows for the dot-product path.
  *
  * Building an image costs one pass over the weights, so serving
  * stages it once per publish (serve::ModelRegistry quantizes on
@@ -33,13 +28,6 @@
 
 namespace fa3c::nn {
 
-/** Which quantized image quantizeModel should build. */
-enum class QuantMode
-{
-    Int8,
-    Fp16,
-};
-
 /** Staged quantized weights for one network (see file comment). */
 struct QuantizedModel
 {
@@ -57,25 +45,17 @@ struct QuantizedModel
         std::vector<float> scale;      ///< sw[o]
     };
 
-    QuantMode mode = QuantMode::Int8;
-
-    // Int8 image.
     Int8Panels conv1;
     Int8Panels conv2;
     Int8Panels fc3;
     Int8Panels fc4;     ///< only when fc4 is panel-sized
     Int8Rows fc4Rows;   ///< only when fc4 is small (the usual case)
     bool fc4Small = false;
-
-    // Fp16 image (FC layers; fc4 only when panel-sized — a small
-    // fc4 head reads the fp32 params directly, its weights are tiny).
-    std::vector<std::uint16_t> fc3Half;
-    std::vector<std::uint16_t> fc4Half;
 };
 
 /** Build the quantized image of @p params for @p net. */
 QuantizedModel quantizeModel(const A3cNetwork &net,
-                             const ParamSet &params, QuantMode mode);
+                             const ParamSet &params);
 
 } // namespace fa3c::nn
 

@@ -158,7 +158,6 @@ enum class BackendKind
     Reference, ///< golden layer library (nn/layers.cc)
     FastCpu,   ///< blocked im2col/GEMM kernels (nn/kernels/)
     Int8,      ///< int8 weights/activations, per-channel scales
-    Fp16,      ///< fp16-storage FC weights, fp32 arithmetic
 };
 
 /** Construct a backend of @p kind over @p net (which must outlive it). */
@@ -166,8 +165,8 @@ std::unique_ptr<DnnBackend> makeDnnBackend(BackendKind kind,
                                            const nn::A3cNetwork &net);
 
 /**
- * Parse a CLI-style backend name: "reference", "fast", "int8" or
- * "fp16". Panics on anything else.
+ * Parse a CLI-style backend name: "reference", "fast" or "int8".
+ * Panics on anything else.
  */
 BackendKind backendKindFromName(const std::string &name);
 

@@ -60,17 +60,11 @@ class FastCpuBackend : public DnnBackend
 
   protected:
     // Protected rather than private: QuantCpuBackend derives from
-    // this class to inherit the fp32 training path (backward) and the
-    // fp32 conv trunk its fp16 mode uses, and shares the batch
-    // staging buffers.
+    // this class to inherit the fp32 training path (backward), and
+    // shares the batch staging buffers.
 
     /** Stage lazily when forward/backward arrive before any sync. */
     void ensureStaged(const nn::ParamSet &params);
-
-    /** Conv trunk of one forward pass (shared by both entry points). */
-    void forwardConvs(const nn::ParamSet &params,
-                      const tensor::Tensor &obs,
-                      nn::A3cNetwork::Activations &act);
 
     const nn::A3cNetwork &net_;
 
@@ -107,6 +101,12 @@ class FastCpuBackend : public DnnBackend
     std::vector<float> batchMid_; ///< [B][fc3.out] fc3 pre-activations
     std::vector<float> batchAct_; ///< [B][fc3.out] post-ReLU
     std::vector<float> batchOut_; ///< [B][fc4.out]
+
+  private:
+    /** Conv trunk of one forward pass (shared by both entry points). */
+    void forwardConvs(const nn::ParamSet &params,
+                      const tensor::Tensor &obs,
+                      nn::A3cNetwork::Activations &act);
 };
 
 } // namespace fa3c::rl

@@ -1,19 +1,14 @@
 /**
  * @file
- * Quantized inference backend (BackendKind::Int8 / BackendKind::Fp16).
+ * Quantized inference backend (BackendKind::Int8).
  *
- * Forward passes run on a staged quantized weight image
- * (nn::QuantizedModel):
- *
- *  - Int8: dynamic symmetric activation quantization (per tensor,
- *    scale maxabs/127) against per-output-channel int8 weights, exact
- *    int32 accumulation (AVX2 pmaddwd or the scalar twin), then fp32
- *    dequantize + bias. Both conv layers run an int8 im2row/qgemm
- *    pipeline; fc3 runs the batched qgemm; a small fc4 head runs
- *    int8 dot products over canonical rows.
- *  - Fp16: the conv trunk stays fp32 (inherited), the wide FC
- *    weights are stored as IEEE halves and up-converted exactly
- *    inside the GEMM, halving weight-matrix bandwidth.
+ * Forward passes run on a staged int8 weight image
+ * (nn::QuantizedModel): dynamic symmetric activation quantization
+ * (per tensor, scale maxabs/127) against per-output-channel int8
+ * weights, exact int32 accumulation (AVX2 pmaddwd or the scalar
+ * twin), then fp32 dequantize + bias. Both conv layers run an int8
+ * im2row/qgemm pipeline; fc3 runs the batched qgemm; a small fc4 head
+ * runs int8 dot products over canonical rows.
  *
  * The image arrives either pre-built via onQuantSync (serving:
  * ModelRegistry quantizes once per publish and shares it across
@@ -43,9 +38,7 @@ namespace fa3c::rl {
 class QuantCpuBackend : public FastCpuBackend
 {
   public:
-    QuantCpuBackend(const nn::A3cNetwork &net, nn::QuantMode mode);
-
-    nn::QuantMode mode() const { return mode_; }
+    explicit QuantCpuBackend(const nn::A3cNetwork &net);
 
     bool wantsQuantized() const override { return true; }
 
@@ -93,17 +86,10 @@ class QuantCpuBackend : public FastCpuBackend
                      std::span<const float> bias, int bsz,
                      const float *in, float *out);
 
-    /** Batched fp16-storage FC (bias prefill + hgemm). */
-    void fcBatchHalf(const nn::FcSpec &spec,
-                     const std::vector<std::uint16_t> &panels,
-                     std::span<const float> bias, int bsz,
-                     const float *in, float *out);
-
     /** The FC stack shared by forward and forwardBatch. */
     void fcStack(const nn::ParamSet &params, int bsz,
                  std::span<nn::A3cNetwork::Activations *const> acts);
 
-    nn::QuantMode mode_;
     std::shared_ptr<const nn::QuantizedModel> quant_;
 
     // Int8 scratch (per-backend, like the fp32 scratch in the base).

@@ -3,12 +3,10 @@
 namespace fa3c::serve {
 
 void
-ModelRegistry::enableQuantization(const nn::A3cNetwork &net,
-                                  nn::QuantMode mode)
+ModelRegistry::enableQuantization(const nn::A3cNetwork &net)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     quantNet_ = &net;
-    quantMode_ = mode;
 }
 
 std::uint64_t
@@ -17,17 +15,15 @@ ModelRegistry::publish(nn::ParamSet &&params)
     auto model = std::make_shared<Model>();
     model->params = std::move(params);
     const nn::A3cNetwork *qnet;
-    nn::QuantMode qmode;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         qnet = quantNet_;
-        qmode = quantMode_;
     }
     // Quantize outside the lock: one weight pass per publish, hidden
     // from readers (they keep serving the previous version meanwhile).
     if (qnet)
         model->quant = std::make_shared<const nn::QuantizedModel>(
-            nn::quantizeModel(*qnet, model->params, qmode));
+            nn::quantizeModel(*qnet, model->params));
     std::lock_guard<std::mutex> lock(mutex_);
     model->version = nextVersion_++;
     current_ = std::move(model);

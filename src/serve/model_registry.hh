@@ -44,12 +44,11 @@ class ModelRegistry
     };
 
     /**
-     * Quantize every subsequent publish for @p net in @p mode. Call
-     * before the first publish (there is no re-quantization of
-     * already-published versions). @p net must outlive the registry.
+     * Quantize every subsequent publish for @p net. Call before the
+     * first publish (there is no re-quantization of already-published
+     * versions). @p net must outlive the registry.
      */
-    void enableQuantization(const nn::A3cNetwork &net,
-                            nn::QuantMode mode);
+    void enableQuantization(const nn::A3cNetwork &net);
 
     /**
      * Publish @p params as the next version (the set is moved in and
@@ -75,7 +74,6 @@ class ModelRegistry
     std::shared_ptr<const Model> current_;
     std::uint64_t nextVersion_ = 1;
     const nn::A3cNetwork *quantNet_ = nullptr;
-    nn::QuantMode quantMode_ = nn::QuantMode::Int8;
 };
 
 } // namespace fa3c::serve

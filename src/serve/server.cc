@@ -117,9 +117,7 @@ PolicyServer::PolicyServer(const nn::A3cNetwork &net,
     // quantized backends without this still work — they re-derive the
     // image locally in onQuantSync's fallback.
     if (cfg_.backend == rl::BackendKind::Int8)
-        registry_.enableQuantization(net_, nn::QuantMode::Int8);
-    else if (cfg_.backend == rl::BackendKind::Fp16)
-        registry_.enableQuantization(net_, nn::QuantMode::Fp16);
+        registry_.enableQuantization(net_);
 }
 
 PolicyServer::~PolicyServer()
