@@ -21,15 +21,21 @@
  * conv_fw_transform_share is im2col's share of conv FW, both layers
  * summed, so FW cost drifting back into data movement shows.
  *
+ * The cost of the backends' per-kernel timing (rl::KernelTimer, the
+ * nn.kernel.* histograms) is measured too: timer_overhead_pct is the
+ * calibrated cost of one sample times the samples one forward
+ * records, as a share of the fast forward.
+ *
  * Writes $FA3C_JSON_DIR/BENCH_nn_kernels.json with one row per
  * (layer, op) pair plus header fields fw_speedup_e2e /
  * bw_speedup_e2e / batch16_fw_speedup / small_layer_speedup /
  * int8_speedup / sync_stage_ms / rmsprop_apply_ms /
- * conv_fw_transform_share; CI gates on fw_speedup_e2e >= 2,
- * small_layer_speedup >= 1 (the narrow-FC dot path must beat the
- * panel GEMM it replaced) and int8_speedup >= 1.5 (quantized batched
- * forward on the wide serving net vs fp32 FastCpuBackend), and trends
- * the two routine passes and the transform share.
+ * conv_fw_transform_share / timer_overhead_pct; CI gates on
+ * fw_speedup_e2e >= 2, small_layer_speedup >= 1 (the narrow-FC dot
+ * path must beat the panel GEMM it replaced), int8_speedup >= 1.5
+ * (quantized batched forward on the wide serving net vs fp32
+ * FastCpuBackend) and timer_overhead_pct < 1, and trends the two
+ * routine passes and the transform share.
  *
  * Knobs: FA3C_NN_KERNELS_REPS (per-layer timing iterations, default
  * 30) and FA3C_NN_KERNELS_E2E_REPS (end-to-end iterations, default
@@ -41,12 +47,12 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_util.hh"
 #include "nn/a3c_network.hh"
-#include "obs/profile.hh"
 #include "nn/kernels/conv.hh"
 #include "nn/kernels/fc.hh"
 #include "nn/kernels/gemm.hh"
@@ -54,8 +60,10 @@
 #include "nn/layers.hh"
 #include "nn/kernels/dispatch.hh"
 #include "nn/rmsprop.hh"
+#include "obs/metrics.hh"
 #include "rl/backend.hh"
 #include "rl/fast_cpu_backend.hh"
+#include "rl/kernel_timer.hh"
 #include "rl/quant_backend.hh"
 #include "sim/rng.hh"
 #include "sim/table.hh"
@@ -138,39 +146,51 @@ gflops(std::size_t macs, double ms)
     return 2.0 * static_cast<double>(macs) / (ms * 1e-3) / 1e9;
 }
 
-/** An empty function whose only cost is its profiling scope. */
+/** An empty function whose only cost is one kernel timer. */
 __attribute__((noinline)) void
-profCalibrationSite()
+timerCalibrationSite()
 {
-    FA3C_PROF_SCOPE("bench.prof_calib");
+    rl::KernelTimer t("bench_calib");
     asm volatile("");
 }
 
 /**
- * Nanoseconds per call of the scope-only function with profiling
- * @p enabled. The scope mechanics dominate the loop body, so unlike
- * an end-to-end diff this resolves the per-scope cost directly.
+ * Nanoseconds per call of the timer-only function with metrics
+ * @p enabled. The timer dominates the loop body, so unlike an
+ * end-to-end diff this resolves the per-sample cost directly.
  * Minimum of several rounds to shed scheduler noise.
  */
 double
-profCalibrate(bool enabled)
+timerCalibrate(bool enabled)
 {
-    const bool was = obs::profilingEnabled();
-    obs::setProfilingEnabled(enabled);
+    obs::metrics().setEnabled(enabled);
     constexpr int kCalls = 200000;
     double best = 1e30;
     for (int round = 0; round < 5; ++round) {
         const auto t0 = std::chrono::steady_clock::now();
         for (int i = 0; i < kCalls; ++i)
-            profCalibrationSite();
+            timerCalibrationSite();
         const auto t1 = std::chrono::steady_clock::now();
         best = std::min(
             best, std::chrono::duration<double, std::nano>(t1 - t0)
                           .count() /
                       kCalls);
     }
-    obs::setProfilingEnabled(was);
     return best;
+}
+
+/** Samples recorded so far across every nn.kernel.* histogram. */
+std::uint64_t
+kernelTimerSamples()
+{
+    std::uint64_t n = 0;
+    obs::metrics().forEachGroup(
+        [&](const std::string &name, const sim::StatGroup &group) {
+            if (name == "nn.kernel")
+                for (const auto &[kernel, dist] : group.distributions())
+                    n += dist.count();
+        });
+    return n;
 }
 
 struct OpResult
@@ -649,77 +669,39 @@ main(int, char **)
     std::printf("CI gate: int8_speedup = %.2fx (must be >= 1.5)\n",
                 int8_speedup);
 
-    // --- ProfScope overhead A/B ----------------------------------
-    // The kernels and backend carry FA3C_PROF_SCOPE markers. The true
-    // per-scope cost (~100 ns enabled, a relaxed load disabled) is
-    // far below the run-to-run jitter of a ~0.3 ms forward on a
-    // shared machine, so a naive e2e off/on diff mostly measures
-    // noise. Two measurements instead:
-    //
-    //  1. Calibrate the per-scope cost with an A/B on an instrumented
-    //     empty function, where the scope mechanics dominate the loop
-    //     and are resolvable to the nanosecond.
-    //  2. Count the scopes one forward actually crosses (from the
-    //     profiler's own counts), then express
-    //     scopes/fw x cost/scope as a percentage of the forward.
-    //
-    // The interleaved e2e diff is still printed as a sanity check
-    // that nothing pathological (cache blowup, false sharing) makes
-    // the composed estimate a lie; it is noise-bounded, not gated.
-    const bool prof_was_enabled = obs::profilingEnabled();
-    const double scope_on_ns =
-        profCalibrate(true) - profCalibrate(false);
-    const double scope_off_ns =
-        profCalibrate(false) - profCalibrate(false);
+    // --- KernelTimer overhead -------------------------------------
+    // The backends time every kernel call into the nn.kernel.*
+    // histograms while metrics are on. One sample (~150 ns) is far
+    // below the run-to-run jitter of a ~0.3 ms forward on a shared
+    // machine, so an e2e on/off diff would mostly measure noise.
+    // Instead: calibrate the per-sample cost on an otherwise empty
+    // function, count the samples one forward records, and express
+    // samples/fw x cost/sample as a share of the forward.
+    obs::MetricsRegistry &registry = obs::metrics();
+    const bool metrics_were_enabled = registry.enabled();
+    const double sample_ns = timerCalibrate(true) - timerCalibrate(false);
 
-    obs::setProfilingEnabled(true);
-    obs::profReset();
+    registry.setEnabled(true);
     const int count_reps = 50;
+    const std::uint64_t samples_before = kernelTimerSamples();
     for (int i = 0; i < count_reps; ++i)
         fast.forward(params, obs, act_fast);
-    std::uint64_t scope_hits = 0;
-    for (const auto &[label, stats] : obs::profSnapshot())
-        scope_hits += stats.count;
-    const double scopes_per_fw =
-        static_cast<double>(scope_hits) / count_reps;
+    const double samples_per_fw =
+        static_cast<double>(kernelTimerSamples() - samples_before) /
+        count_reps;
+    registry.setEnabled(metrics_were_enabled);
 
-    obs::profReset();
-    const std::uint64_t ab_reps = std::max<std::uint64_t>(10, e2e_reps / 3);
-    double fw_prof_off_ms = 1e30;
-    double fw_prof_on_ms = 1e30;
-    for (int round = 0; round < 7; ++round) {
-        obs::setProfilingEnabled(false);
-        fw_prof_off_ms = std::min(
-            fw_prof_off_ms,
-            timeMs([&] { fast.forward(params, obs, act_fast); },
-                   ab_reps));
-        obs::setProfilingEnabled(true);
-        fw_prof_on_ms = std::min(
-            fw_prof_on_ms,
-            timeMs([&] { fast.forward(params, obs, act_fast); },
-                   ab_reps));
-    }
-    obs::setProfilingEnabled(prof_was_enabled);
-
-    const double fw_ns = fw_prof_off_ms * 1e6;
-    const double prof_overhead_pct =
-        scopes_per_fw * scope_on_ns / fw_ns * 100.0;
-    const double prof_disabled_pct =
-        scopes_per_fw * std::max(scope_off_ns, 0.0) / fw_ns * 100.0;
-    const double e2e_diff_pct =
-        (fw_prof_on_ms - fw_prof_off_ms) / fw_prof_off_ms * 100.0;
-    std::printf("ProfScope cost: %.1f ns/scope enabled, %.1f "
-                "scopes/forward\n",
-                scope_on_ns, scopes_per_fw);
-    std::printf("ProfScope overhead on forward e2e: %.4f%% enabled "
-                "(gate < 1%%), %.4f%% disabled; interleaved e2e diff "
-                "%+.2f%% (noise check)\n\n",
-                prof_overhead_pct, prof_disabled_pct, e2e_diff_pct);
-    report.field("prof_overhead_pct", prof_overhead_pct);
-    report.field("prof_disabled_overhead_pct", prof_disabled_pct);
-    report.field("prof_scope_ns", scope_on_ns);
-    report.field("prof_scopes_per_fw", scopes_per_fw);
-    report.field("prof_e2e_diff_pct", e2e_diff_pct);
+    const double timer_overhead_pct =
+        samples_per_fw * sample_ns / (fw_fast_ms * 1e6) * 100.0;
+    std::printf("KernelTimer cost: %.1f ns/sample, %.1f "
+                "samples/forward\n",
+                sample_ns, samples_per_fw);
+    std::printf("CI gate: timer_overhead_pct = %.4f%% of the forward "
+                "(must be < 1%%)\n\n",
+                timer_overhead_pct);
+    report.field("timer_overhead_pct", timer_overhead_pct);
+    report.field("timer_sample_ns", sample_ns);
+    report.field("timer_samples_per_fw", samples_per_fw);
 
     report.field("fw_speedup_e2e", fw_speedup);
     report.field("bw_speedup_e2e", bw_speedup);

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "nn/kernels/gemm.hh"
-#include "obs/profile.hh"
 #include "sim/logging.hh"
 
 namespace fa3c::nn::kernels {
@@ -14,7 +13,6 @@ convForwardFast(const ConvSpec &spec, const float *in,
                 std::span<const float> w, std::span<const float> b,
                 float *out, std::span<float> scratch)
 {
-    FA3C_PROF_SCOPE("kernels.conv_fw");
     FA3C_ASSERT(w.size() == spec.weightCount(), "convForwardFast w");
     FA3C_ASSERT(b.size() == spec.biasCount(), "convForwardFast b");
     FA3C_ASSERT(scratch.size() >= colSize(spec),
@@ -38,7 +36,6 @@ convBackwardFast(const ConvSpec &spec, const float *g_out,
                  std::span<const float> wT, float *in_grad,
                  std::span<float> scratch)
 {
-    FA3C_PROF_SCOPE("kernels.conv_bw");
     FA3C_ASSERT(wT.size() == spec.weightCount(), "convBackwardFast wT");
     FA3C_ASSERT(scratch.size() >= colSize(spec),
                 "convBackwardFast scratch");
@@ -62,7 +59,6 @@ convGradientFast(const ConvSpec &spec, const float *in,
                  const float *g_out, std::span<float> g_w,
                  std::span<float> g_b, std::span<float> scratch)
 {
-    FA3C_PROF_SCOPE("kernels.conv_gc");
     FA3C_ASSERT(g_w.size() == spec.weightCount(), "convGradientFast g_w");
     FA3C_ASSERT(g_b.size() == spec.biasCount(), "convGradientFast g_b");
     FA3C_ASSERT(scratch.size() >= colSize(spec),

@@ -6,7 +6,6 @@
 #include "nn/kernels/dispatch.hh"
 #include "nn/kernels/gemm.hh"
 #include "nn/kernels/threadpool.hh"
-#include "obs/profile.hh"
 #include "sim/logging.hh"
 
 namespace fa3c::nn::kernels {
@@ -24,7 +23,6 @@ fcForwardFastBatchPanels(const FcSpec &spec, int batch, const float *in,
                          std::span<const float> wPanels,
                          std::span<const float> b, float *out)
 {
-    FA3C_PROF_SCOPE("kernels.fc_fw_panels");
     FA3C_ASSERT(wPanels.size() ==
                     gemmPanelSize(spec.outFeatures, spec.inFeatures),
                 "fcForwardFastBatchPanels wPanels");
@@ -72,7 +70,6 @@ fcForwardSmallBatch(const FcSpec &spec, int batch, const float *in,
                     std::span<const float> w, std::span<const float> b,
                     float *out)
 {
-    FA3C_PROF_SCOPE("kernels.fc_fw_small");
     FA3C_ASSERT(w.size() == spec.weightCount(), "fcForwardSmallBatch w");
     FA3C_ASSERT(b.size() == spec.biasCount(), "fcForwardSmallBatch b");
     ops().fcDotRows(batch, spec.outFeatures, spec.inFeatures, in,
@@ -84,7 +81,6 @@ void
 fcBackwardFast(const FcSpec &spec, const float *g_out,
                std::span<const float> w, float *g_in)
 {
-    FA3C_PROF_SCOPE("kernels.fc_bw");
     FA3C_ASSERT(w.size() == spec.weightCount(), "fcBackwardFast w");
     // g_in[1][I] = g_out[1][O] * w[O][I]: the canonical layout is
     // already the right GEMM operand.
@@ -98,7 +94,6 @@ void
 fcGradientFast(const FcSpec &spec, const float *in, const float *g_out,
                std::span<float> g_w, std::span<float> g_b)
 {
-    FA3C_PROF_SCOPE("kernels.fc_gc");
     FA3C_ASSERT(g_w.size() == spec.weightCount(), "fcGradientFast g_w");
     FA3C_ASSERT(g_b.size() == spec.biasCount(), "fcGradientFast g_b");
     float *FA3C_RESTRICT gw = g_w.data();

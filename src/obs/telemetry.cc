@@ -12,7 +12,6 @@
 
 #include "obs/build_info.hh"
 #include "obs/metrics.hh"
-#include "obs/profile.hh"
 #include "obs/prometheus.hh"
 #include "sim/logging.hh"
 
@@ -136,8 +135,6 @@ TelemetryServer::handleConnection(int fd)
                      renderMetrics());
     } else if (target == "/healthz") {
         sendResponse(fd, 200, "OK", "text/plain", "ok\n");
-    } else if (target == "/profilez") {
-        sendResponse(fd, 200, "OK", "text/plain", profReport());
     } else if (target == "/buildz") {
         sendResponse(fd, 200, "OK", "application/json",
                      buildInfoJson());
@@ -152,7 +149,7 @@ TelemetryServer::handleConnection(int fd)
     } else {
         sendResponse(fd, 404, "Not Found", "text/plain",
                      "unknown path; try /metrics, /healthz, "
-                     "/readyz, /profilez, /buildz\n");
+                     "/readyz, /buildz\n");
     }
 }
 
@@ -298,7 +295,7 @@ telemetry()
         // JSON export path configured.
         metrics().setEnabled(true);
         FA3C_INFORM("telemetry: serving /metrics /healthz /readyz "
-                    "/profilez /buildz on 127.0.0.1:",
+                    "/buildz on 127.0.0.1:",
                     server->port());
         return server;
     }();

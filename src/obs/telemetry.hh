@@ -2,8 +2,9 @@
  * @file
  * Embedded HTTP telemetry endpoint.
  *
- * A TelemetryServer listens on a loopback TCP port and serves three
- * paths to a scraper (Prometheus, curl, or the CI smoke job):
+ * A TelemetryServer listens on a loopback TCP port and serves four
+ * paths to a scraper (Prometheus, curl, or the CI smoke job); any
+ * other path is a 404:
  *
  *  - /metrics : Prometheus text exposition of every MetricsRegistry
  *    group, plus whatever the registered collectors add (live gauges
@@ -11,7 +12,9 @@
  *  - /healthz : liveness — 200 as long as the process serves HTTP;
  *  - /readyz  : readiness — 200 only when at least one component has
  *    registered a readiness probe and all probes pass, 503 otherwise
- *    (each probe contributes a named detail line).
+ *    (each probe contributes a named detail line);
+ *  - /buildz  : the build identity (git sha, build type, compiler,
+ *    active backend) as JSON.
  *
  * Components attach via TelemetryRegistration, an RAII handle that
  * adds a collector and (optionally) a readiness probe on

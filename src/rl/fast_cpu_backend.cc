@@ -9,7 +9,6 @@
 #include "nn/kernels/fc.hh"
 #include "nn/kernels/gemm.hh"
 #include "nn/kernels/im2col.hh"
-#include "obs/profile.hh"
 #include "rl/kernel_timer.hh"
 #include "sim/logging.hh"
 
@@ -43,7 +42,6 @@ FastCpuBackend::FastCpuBackend(const nn::A3cNetwork &net)
 void
 FastCpuBackend::onParamSync(const nn::ParamSet &params)
 {
-    FA3C_PROF_SCOPE("backend.param_sync");
     const nn::ConvSpec &c2 = net_.conv2();
     const nn::FcSpec &f3 = net_.fc3();
     const nn::FcSpec &f4 = net_.fc4();
@@ -106,7 +104,6 @@ FastCpuBackend::forward(const nn::ParamSet &params,
                         const tensor::Tensor &obs,
                         nn::A3cNetwork::Activations &act)
 {
-    FA3C_PROF_SCOPE("backend.forward");
     ensureStaged(params);
     forwardConvs(params, obs, act);
     {
@@ -136,7 +133,6 @@ FastCpuBackend::backward(const nn::ParamSet &params,
                          const tensor::Tensor &g_out,
                          nn::ParamSet &grads)
 {
-    FA3C_PROF_SCOPE("backend.backward");
     ensureStaged(params);
     FA3C_ASSERT(g_out.numel() ==
                     static_cast<std::size_t>(net_.fc4().outFeatures),
@@ -210,7 +206,6 @@ FastCpuBackend::forwardBatch(
     std::span<const tensor::Tensor *const> obs,
     std::span<nn::A3cNetwork::Activations *const> acts)
 {
-    FA3C_PROF_SCOPE("backend.forward_batch");
     FA3C_ASSERT(obs.size() == acts.size(),
                 "forwardBatch obs/acts size mismatch");
     if (obs.empty())

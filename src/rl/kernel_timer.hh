@@ -1,8 +1,9 @@
 /**
  * @file
- * Latency sampler for the nn.kernel.* histograms, shared by the CPU
- * backends' translation units (fast_cpu_backend.cc, quant_backend.cc).
- * Internal to src/rl: no public header includes it.
+ * Latency sampler for the nn.kernel.* histograms, the one per-kernel
+ * timing signal. Shared by the CPU backends' translation units
+ * (fast_cpu_backend.cc, quant_backend.cc); bench_nn_kernels
+ * calibrates its cost. No public header includes it.
  */
 
 #ifndef FA3C_RL_KERNEL_TIMER_HH

@@ -6,7 +6,6 @@
 #include "nn/kernels/im2col.hh"
 #include "nn/kernels/quant.hh"
 #include "nn/kernels/threadpool.hh"
-#include "obs/profile.hh"
 #include "rl/kernel_timer.hh"
 #include "sim/logging.hh"
 
@@ -54,7 +53,6 @@ QuantCpuBackend::QuantCpuBackend(const nn::A3cNetwork &net)
 void
 QuantCpuBackend::onParamSync(const nn::ParamSet &params)
 {
-    FA3C_PROF_SCOPE("backend.quant_sync");
     // The fp32 training images go stale; the base restages them
     // lazily if backward() is ever called.
     staged_ = false;
@@ -73,7 +71,6 @@ QuantCpuBackend::onQuantSync(
         onParamSync(params);
         return;
     }
-    FA3C_PROF_SCOPE("backend.quant_sync");
     staged_ = false;
     quant_ = std::move(quant);
 }
@@ -323,7 +320,6 @@ QuantCpuBackend::forwardBatch(
     std::span<const tensor::Tensor *const> obs,
     std::span<nn::A3cNetwork::Activations *const> acts)
 {
-    FA3C_PROF_SCOPE("backend.forward_batch");
     FA3C_ASSERT(obs.size() == acts.size(),
                 "forwardBatch obs/acts size mismatch");
     if (obs.empty())

@@ -315,6 +315,7 @@ TEST(TelemetryHttp, HealthzAlwaysOkAndUnknownPathIs404)
     EXPECT_EQ(r.body, "ok\n");
 
     EXPECT_EQ(httpGet(srv->port(), "/nope").status, 404);
+    EXPECT_EQ(httpGet(srv->port(), "/profilez").status, 404);
 }
 
 TEST(TelemetryHttp, ReadyzTracksServerLifecycle)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the FastCpuBackend: activation/gradient parity with the
- * reference backend, bit-exact batched inference, trainer selection
- * through the config backend field, and checkpoint compatibility.
+ * reference backend, bit-exact batched inference, the nn.kernel.*
+ * timing samples of the CPU backends, trainer selection through the
+ * config backend field, and checkpoint compatibility.
  */
 
 #include <bit>
@@ -17,10 +18,12 @@
 #include "env/games.hh"
 #include "env/session.hh"
 #include "nn/a3c_network.hh"
+#include "obs/metrics.hh"
 #include "rl/a3c.hh"
 #include "rl/fast_cpu_backend.hh"
 #include "rl/ga3c.hh"
 #include "rl/paac.hh"
+#include "rl/quant_backend.hh"
 #include "test_util.hh"
 
 using namespace fa3c;
@@ -72,6 +75,35 @@ hashWords(std::span<const float> words)
         }
     }
     return h;
+}
+
+/** Sample count of every nn.kernel.* histogram in the registry. */
+std::map<std::string, std::uint64_t>
+kernelSamples()
+{
+    std::map<std::string, std::uint64_t> out;
+    obs::metrics().forEachGroup(
+        [&](const std::string &name, const sim::StatGroup &group) {
+            if (name != "nn.kernel")
+                return;
+            for (const auto &[kernel, dist] : group.distributions())
+                out[kernel] = dist.count();
+        });
+    return out;
+}
+
+/** Per-kernel samples added since @p before (zero deltas dropped). */
+std::map<std::string, std::uint64_t>
+samplesSince(const std::map<std::string, std::uint64_t> &before)
+{
+    std::map<std::string, std::uint64_t> added;
+    for (const auto &[kernel, count] : kernelSamples()) {
+        const auto it = before.find(kernel);
+        const std::uint64_t was = it == before.end() ? 0 : it->second;
+        if (count != was)
+            added[kernel] = count - was;
+    }
+    return added;
 }
 
 } // namespace
@@ -279,6 +311,72 @@ TEST(FastCpuBackend, DefaultForwardBatchMatchesForward)
     backend.forward(params, o2, want);
     for (std::size_t i = 0; i < want.out.numel(); ++i)
         EXPECT_EQ(a2.out.data()[i], want.out.data()[i]);
+}
+
+TEST(FastCpuBackend, KernelTimerSamplesEachKernelCallWhileEnabled)
+{
+    // The nn.kernel.* histograms are the one per-kernel timing signal:
+    // one sample per timed kernel call while metrics are on, none
+    // while they are off.
+    const nn::A3cNetwork net(nn::NetConfig::tiny(4));
+    sim::Rng rng(17);
+    nn::ParamSet params = net.makeParams();
+    net.initParams(params, rng);
+    FastCpuBackend fast(net);
+    QuantCpuBackend q8(net);
+    fast.onParamSync(params);
+    q8.onParamSync(params);
+
+    constexpr int kBatch = 3;
+    std::vector<tensor::Tensor> obs_store;
+    std::vector<nn::A3cNetwork::Activations> act_store;
+    for (int s = 0; s < kBatch; ++s) {
+        obs_store.push_back(randomObs(net, rng));
+        act_store.push_back(net.makeActivations());
+    }
+    std::vector<const tensor::Tensor *> obs;
+    std::vector<nn::A3cNetwork::Activations *> acts;
+    for (int s = 0; s < kBatch; ++s) {
+        obs.push_back(&obs_store[static_cast<std::size_t>(s)]);
+        acts.push_back(&act_store[static_cast<std::size_t>(s)]);
+    }
+    tensor::Tensor g_out(tensor::Shape({net.outSize()}));
+    randomize(g_out, rng);
+    nn::ParamSet grads = net.makeParams();
+
+    auto &m = obs::metrics();
+    const bool was_enabled = m.enabled();
+    m.setEnabled(true);
+
+    auto before = kernelSamples();
+    fast.forward(params, *obs[0], *acts[0]);
+    using Counts = std::map<std::string, std::uint64_t>;
+    EXPECT_EQ(samplesSince(before), (Counts{{"conv_fw", 2}, {"fc_fw", 2}}))
+        << "FastCpu forward";
+
+    before = kernelSamples();
+    fast.backward(params, *acts[0], g_out, grads);
+    EXPECT_EQ(samplesSince(before),
+              (Counts{{"fc_gc", 2},
+                      {"fc_bw", 2},
+                      {"conv_gc", 2},
+                      {"conv_bw", 1}}))
+        << "FastCpu backward";
+
+    before = kernelSamples();
+    q8.forwardBatch(params, obs, acts);
+    EXPECT_EQ(samplesSince(before),
+              (Counts{{"conv_fw_q8", 2 * kBatch}, {"fc_fw_q8", 2}}))
+        << "int8 forwardBatch at batch " << kBatch;
+
+    m.setEnabled(false);
+    before = kernelSamples();
+    fast.forward(params, *obs[0], *acts[0]);
+    fast.backward(params, *acts[0], g_out, grads);
+    q8.forwardBatch(params, obs, acts);
+    EXPECT_TRUE(samplesSince(before).empty()) << "metrics disabled";
+
+    m.setEnabled(was_enabled);
 }
 
 TEST(FastCpuBackend, MakeDnnBackendAndNames)
