@@ -576,7 +576,6 @@ PsServer::housekeeperMain()
                 cfg_.checkpointEverySteps)
                 writeCheckpoint();
         }
-        obs::metrics().tick();
 
         lock.lock();
     }

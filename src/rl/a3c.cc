@@ -227,7 +227,6 @@ A3cAgent::runRoutine()
         m.count("rl.a3c", "env_steps",
                 static_cast<std::uint64_t>(rollout_len));
         m.sample("rl.a3c", "rollout_len", rollout_len);
-        m.tick();
     }
     return rollout_len;
 }

@@ -217,7 +217,6 @@ saveCheckpointToFile(const TrainingCheckpoint &ckpt,
         m.sample("rl.checkpoint", "bytes",
                  static_cast<double>(image.size()));
         m.sample("rl.checkpoint", "save_sec", sec);
-        m.tick();
     }
     FA3C_INFORM("checkpoint: wrote ", image.size(), " bytes to ", path,
                 " at step ", ckpt.globalSteps);

@@ -177,7 +177,6 @@ PaacTrainer::runBatch()
         m.count("rl.paac", "batches", 1);
         m.count("rl.paac", "env_steps", steps);
         m.sample("rl.paac", "batch_steps", static_cast<double>(steps));
-        m.tick();
     }
     return steps;
 }
