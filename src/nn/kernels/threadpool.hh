@@ -9,10 +9,11 @@
  *
  * The pool is a lazily-created process singleton sized by
  * FA3C_KERNEL_THREADS (default: half the hardware threads, capped at
- * 4; 1 disables it). Only one parallelFor runs on the pool at a
- * time: concurrent callers (e.g. several serve workers) fail the
- * try_lock and simply run their loop inline, which is the right call
- * anyway — they are already each other's parallelism.
+ * 4; 1 disables it; a value above the hardware thread count is
+ * clamped to that count with a warning). Only one parallelFor runs on
+ * the pool at a time: concurrent callers (e.g. several serve workers)
+ * fail the try_lock and simply run their loop inline, which is the
+ * right call anyway — they are already each other's parallelism.
  */
 
 #ifndef FA3C_NN_KERNELS_THREADPOOL_HH

@@ -8,7 +8,9 @@
  * generation-checked so such a worker must touch nothing).
  */
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/kernels/threadpool.hh"
+#include "sim/logging.hh"
 
 using fa3c::nn::kernels::kernelThreads;
 using fa3c::nn::kernels::parallelFor;
@@ -104,6 +107,28 @@ TEST(NnThreadpool, ConcurrentCallersRunInline)
 TEST(NnThreadpool, WidthIsAtLeastOne)
 {
     EXPECT_GE(kernelThreads(), 1);
+}
+
+/**
+ * A width far above the core count is clamped to the hardware thread
+ * count with a warning. kernelThreads() caches its first read, so the
+ * check runs in a re-executed child that sets the variable before the
+ * first call. The child never calls parallelFor, so no pool (and no
+ * thread) is ever built.
+ */
+TEST(NnThreadpoolDeathTest, EnvWidthClampsToHardwareThreads)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const int cores =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    EXPECT_EXIT(
+        {
+            fa3c::sim::setLogLevel(fa3c::sim::LogLevel::Warn);
+            ::setenv("FA3C_KERNEL_THREADS", "1000000", 1);
+            std::exit(kernelThreads() == cores ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0),
+        "FA3C_KERNEL_THREADS=1000000 exceeds");
 }
 
 } // namespace
