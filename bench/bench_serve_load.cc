@@ -313,12 +313,8 @@ runFleetClosedLoop(const nn::A3cNetwork &net,
         threads.emplace_back([&, c] {
             const tensor::Tensor obs = makeObservation(
                 net.config(), static_cast<unsigned>(c) + 1);
-            // Nonzero session: under ConsistentHash each client pins
-            // to one replica; LeastLoaded ignores it.
-            const auto session = static_cast<std::uint64_t>(c) + 1;
             while (Clock::now() < t_end) {
-                const serve::Response r =
-                    router.submitAndWait(obs, 0us, session);
+                const serve::Response r = router.submitAndWait(obs);
                 if (r.status == serve::Status::Ok)
                     ok.fetch_add(1, std::memory_order_relaxed);
                 else
@@ -690,7 +686,6 @@ main(int argc, char **argv)
         bench::envKnob("FA3C_SERVE_REPLICAS", 2));
     serve::FleetConfig fleet;
     fleet.replicas = fleet_replicas;
-    fleet.policy = serve::RoutePolicy::LeastLoaded;
     fleet.replica = serveConfig(max_batch, 1);
     // A queue the deadline budget can actually drain: with ~50 ms
     // budgets, shedding at a couple hundred queued requests keeps
@@ -699,10 +694,9 @@ main(int argc, char **argv)
     // sweep above shows).
     fleet.replica.queue.maxDepth = 256;
     fleet.shed.depthFraction = 0.25;
-    std::printf("\nReplica fleet (%d replicas, %s routing, shed at "
-                "%.0f%% aggregate depth):\n",
-                fleet_replicas, serve::routePolicyName(fleet.policy),
-                100.0 * fleet.shed.depthFraction);
+    std::printf("\nReplica fleet (%d replicas, shed at %.0f%% "
+                "aggregate depth):\n",
+                fleet_replicas, 100.0 * fleet.shed.depthFraction);
 
     serve::FleetConfig one = fleet;
     one.replicas = 1;

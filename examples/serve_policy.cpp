@@ -19,8 +19,6 @@
  *     --backend <name>  reference, fast, or int8 (default fast)
  *     --replicas <n>    PolicyServer replicas behind the router
  *                       (default 1)
- *     --policy <name>   least-loaded or hash (consistent hash by
- *                       connection; default least-loaded)
  *     --shed <f>        shed when fleet queue depth exceeds this
  *                       fraction of total capacity (default 0.75;
  *                       >= 1 disables router-level shedding)
@@ -125,7 +123,6 @@ main(int argc, char **argv)
 {
     std::string game_name = "breakout";
     std::string backend_name = "fast";
-    std::string policy_name = "least-loaded";
     std::string checkpoint_path;
     long port = 0;
     int workers = 1;
@@ -150,8 +147,6 @@ main(int argc, char **argv)
         } else if (arg == "--replicas" && i + 1 < argc) {
             replicas = static_cast<int>(
                 std::strtol(argv[++i], nullptr, 10));
-        } else if (arg == "--policy" && i + 1 < argc) {
-            policy_name = argv[++i];
         } else if (arg == "--shed" && i + 1 < argc) {
             shed_fraction = std::strtod(argv[++i], nullptr);
         } else if (arg == "--checkpoint" && i + 1 < argc) {
@@ -181,14 +176,6 @@ main(int argc, char **argv)
                      "unknown backend: %s (want "
                      "reference|fast|int8)\n",
                      backend_name.c_str());
-        return 2;
-    }
-    const auto maybe_policy =
-        serve::tryRoutePolicyFromName(policy_name);
-    if (!maybe_policy) {
-        std::fprintf(stderr,
-                     "unknown policy: %s (want least-loaded|hash)\n",
-                     policy_name.c_str());
         return 2;
     }
     if (port < 0 || port > 65535) {
@@ -230,7 +217,6 @@ main(int argc, char **argv)
 
     serve::FleetConfig fleet;
     fleet.replicas = replicas;
-    fleet.policy = *maybe_policy;
     fleet.shed.depthFraction = shed_fraction;
     fleet.replica.batch.maxBatch = max_batch;
     fleet.replica.workers = workers;
@@ -248,12 +234,11 @@ main(int argc, char **argv)
     }
     const std::uint16_t bound_port = loop.port();
     std::printf("Serving %s on 127.0.0.1:%u (%s backend, %d replica%s"
-                " x %d worker%s, %s routing, max batch %d, no "
-                "batch wait).\n",
+                " x %d worker%s, least-loaded routing, max batch %d, "
+                "no batch wait).\n",
                 game_name.c_str(), bound_port, backend_name.c_str(),
                 replicas, replicas == 1 ? "" : "s", workers,
-                workers == 1 ? "" : "s",
-                serve::routePolicyName(*maybe_policy), max_batch);
+                workers == 1 ? "" : "s", max_batch);
     if (const obs::TelemetryServer *telemetry = obs::telemetry())
         std::printf("Telemetry on http://127.0.0.1:%d (/metrics "
                     "/healthz /readyz).\n",

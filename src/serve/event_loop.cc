@@ -85,7 +85,7 @@ EventLoopServer::EventLoopServer(PolicyServer &server,
     : EventLoopServer(
           server.network(),
           [&server](const tensor::Tensor &obs,
-                    std::chrono::microseconds deadline, std::uint64_t,
+                    std::chrono::microseconds deadline,
                     const obs::SpanContext &parent,
                     std::function<void(Response &&)> done) {
               server.submitAsync(obs, deadline, parent,
@@ -101,10 +101,9 @@ EventLoopServer::EventLoopServer(ReplicaRouter &router,
           router.network(),
           [&router](const tensor::Tensor &obs,
                     std::chrono::microseconds deadline,
-                    std::uint64_t session,
                     const obs::SpanContext &parent,
                     std::function<void(Response &&)> done) {
-              router.submitAsync(obs, deadline, session, parent,
+              router.submitAsync(obs, deadline, parent,
                                  std::move(done));
           },
           cfg)
@@ -433,8 +432,7 @@ EventLoopServer::parseFrames(Conn &c)
         const std::uint64_t conn_id = c.id;
         const std::uint64_t tag = h.tag;
         submit_(obsScratch_,
-                std::chrono::microseconds(h.deadlineUs), c.id,
-                slot.span,
+                std::chrono::microseconds(h.deadlineUs), slot.span,
                 [bus, conn_id, seq, tag](Response &&resp) {
                     Completion done;
                     done.conn = conn_id;

@@ -78,8 +78,7 @@ class EventLoopServer
     /** Front a single in-process PolicyServer. */
     EventLoopServer(PolicyServer &server, const EventLoopConfig &cfg);
 
-    /** Front a replica fleet; connection id is the session key, so
-     * ConsistentHash pins each connection to a replica. */
+    /** Front a replica fleet. */
     EventLoopServer(ReplicaRouter &router, const EventLoopConfig &cfg);
 
     ~EventLoopServer();
@@ -118,7 +117,7 @@ class EventLoopServer
     /** Routed completion-callback signature shared by both backings. */
     using SubmitFn = std::function<void(
         const tensor::Tensor &, std::chrono::microseconds,
-        std::uint64_t session, const obs::SpanContext &,
+        const obs::SpanContext &,
         std::function<void(Response &&)>)>;
 
     struct Completion

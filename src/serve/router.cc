@@ -2,52 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <limits>
+#include <string_view>
 
 #include "obs/metrics.hh"
 #include "obs/prometheus.hh"
 #include "sim/logging.hh"
 
 namespace fa3c::serve {
-
-namespace {
-
-/** splitmix64: cheap, well-mixed 64-bit hash for the vnode ring. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-/** Domain separation between session points and vnode keys. */
-constexpr std::uint64_t kSessionSalt = 0xFA3C5E55109DD00Dull;
-
-} // namespace
-
-const char *
-routePolicyName(RoutePolicy policy)
-{
-    switch (policy) {
-      case RoutePolicy::LeastLoaded: return "least-loaded";
-      case RoutePolicy::ConsistentHash: return "hash";
-    }
-    return "unknown";
-}
-
-std::optional<RoutePolicy>
-tryRoutePolicyFromName(std::string_view name)
-{
-    if (name == "least-loaded" || name == "least_loaded" ||
-        name == "ll")
-        return RoutePolicy::LeastLoaded;
-    if (name == "hash" || name == "consistent-hash" ||
-        name == "consistent_hash")
-        return RoutePolicy::ConsistentHash;
-    return std::nullopt;
-}
 
 ReplicaRouter::ReplicaRouter(const nn::A3cNetwork &net,
                              const FleetConfig &cfg,
@@ -120,19 +83,6 @@ ReplicaRouter::ReplicaRouter(const nn::A3cNetwork &net,
             static_cast<double>(capacity) * cfg_.shed.depthFraction);
     else
         shedThreshold_ = std::numeric_limits<std::size_t>::max();
-
-    if (cfg_.policy == RoutePolicy::ConsistentHash) {
-        const int vnodes = std::max(1, cfg_.hashVnodes);
-        ring_.reserve(static_cast<std::size_t>(cfg_.replicas) *
-                      static_cast<std::size_t>(vnodes));
-        for (int r = 0; r < cfg_.replicas; ++r)
-            for (int v = 0; v < vnodes; ++v)
-                ring_.emplace_back(
-                    mix64((static_cast<std::uint64_t>(r) << 32) |
-                          static_cast<std::uint64_t>(v)),
-                    r);
-        std::sort(ring_.begin(), ring_.end());
-    }
 }
 
 ReplicaRouter::~ReplicaRouter()
@@ -215,23 +165,8 @@ ReplicaRouter::shedRate() const
 }
 
 int
-ReplicaRouter::pickReplica(std::uint64_t session) const
+ReplicaRouter::pickReplica() const
 {
-    if (cfg_.policy == RoutePolicy::ConsistentHash && session != 0 &&
-        !ring_.empty()) {
-        // Salt the session point so it never shares a domain with the
-        // vnode keys: replica 0's vnodes hash (0<<32)|v == v, and
-        // unsalted small session keys (connection ids count up from
-        // 1) would collide with them exactly, pinning every early
-        // connection to replica 0.
-        const std::uint64_t h = mix64(session ^ kSessionSalt);
-        auto it = std::lower_bound(
-            ring_.begin(), ring_.end(),
-            std::make_pair(h, std::numeric_limits<int>::min()));
-        if (it == ring_.end())
-            it = ring_.begin();
-        return it->second;
-    }
     // Least-loaded with a rotating tiebreak: under uniform load every
     // depth reads equal, and always picking replica 0 would serialize
     // the fleet behind one queue.
@@ -291,7 +226,6 @@ ReplicaRouter::emitShedSpan(const obs::SpanContext &parent,
 std::future<Response>
 ReplicaRouter::submit(const tensor::Tensor &obs,
                       std::chrono::microseconds deadline_budget,
-                      std::uint64_t session,
                       const obs::SpanContext &parent)
 {
     {
@@ -305,14 +239,13 @@ ReplicaRouter::submit(const tensor::Tensor &obs,
     }
     const auto t0 = Clock::now();
     const auto route = obs::childSpan(parent);
-    const int replica = pickReplica(session);
+    const int replica = pickReplica();
     routed_.fetch_add(1, std::memory_order_relaxed);
     auto future = replicas_[static_cast<std::size_t>(replica)]->submit(
         obs, deadline_budget, route);
     if (route.sampled) {
-        const std::array<obs::TraceArg, 2> args{
-            {{"replica", static_cast<double>(replica)},
-             {"session", static_cast<double>(session)}}};
+        const std::array<obs::TraceArg, 1> args{
+            {{"replica", static_cast<double>(replica)}}};
         obs::emitSpan(route, "serve.router", "route", t0, Clock::now(),
                       args);
     }
@@ -322,7 +255,6 @@ ReplicaRouter::submit(const tensor::Tensor &obs,
 void
 ReplicaRouter::submitAsync(const tensor::Tensor &obs,
                            std::chrono::microseconds deadline_budget,
-                           std::uint64_t session,
                            const obs::SpanContext &parent,
                            std::function<void(Response &&)> done)
 {
@@ -337,14 +269,13 @@ ReplicaRouter::submitAsync(const tensor::Tensor &obs,
     }
     const auto t0 = Clock::now();
     const auto route = obs::childSpan(parent);
-    const int replica = pickReplica(session);
+    const int replica = pickReplica();
     routed_.fetch_add(1, std::memory_order_relaxed);
     replicas_[static_cast<std::size_t>(replica)]->submitAsync(
         obs, deadline_budget, route, std::move(done));
     if (route.sampled) {
-        const std::array<obs::TraceArg, 2> args{
-            {{"replica", static_cast<double>(replica)},
-             {"session", static_cast<double>(session)}}};
+        const std::array<obs::TraceArg, 1> args{
+            {{"replica", static_cast<double>(replica)}}};
         obs::emitSpan(route, "serve.router", "route", t0, Clock::now(),
                       args);
     }

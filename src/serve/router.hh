@@ -5,10 +5,9 @@
  * surface, plus the fleet-wide controls a single replica cannot
  * provide:
  *
- *  - **Routing**: least-loaded (min queue depth, rotating tiebreak)
- *    or consistent-hash-by-session (a vnode ring, so one session's
- *    requests keep landing on the same replica and its per-replica
- *    batch state stays warm).
+ *  - **Routing**: least-loaded (min queue depth, rotating tiebreak).
+ *    A replica keeps no per-session state, so there is nothing for
+ *    request affinity to keep warm.
  *  - **Load shedding**: per-replica depth signals aggregated into a
  *    shed controller that rejects *before* any enqueue once the
  *    fleet's queued depth crosses a configured fraction of total
@@ -34,27 +33,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "serve/server.hh"
 
 namespace fa3c::serve {
-
-/** How the router picks a replica for an admitted request. */
-enum class RoutePolicy
-{
-    LeastLoaded,    ///< min queue depth, rotating tiebreak
-    ConsistentHash, ///< vnode ring over the session key
-};
-
-/** CLI/log name of @p policy. */
-const char *routePolicyName(RoutePolicy policy);
-
-/** Parse "least-loaded" / "hash" (and aliases); nullopt otherwise. */
-std::optional<RoutePolicy>
-tryRoutePolicyFromName(std::string_view name);
 
 /** Fleet-wide admission (shed) controller knobs. */
 struct ShedConfig
@@ -78,12 +61,9 @@ struct ShedConfig
 struct FleetConfig
 {
     int replicas = 1;
-    RoutePolicy policy = RoutePolicy::LeastLoaded;
     ShedConfig shed;
     /** Per-replica queue / batching / worker configuration. */
     ServeConfig replica;
-    /** Ring vnodes per replica under ConsistentHash. */
-    int hashVnodes = 64;
 };
 
 /** N PolicyServer replicas behind one routed, shedding front. */
@@ -126,24 +106,16 @@ class ReplicaRouter
     /** publish() from a trainer's live global theta. */
     std::uint64_t publishFrom(rl::GlobalParams &global);
 
-    /**
-     * Route one observation into the fleet.
-     *
-     * @param session Affinity key under ConsistentHash (0 = no
-     *                affinity; falls back to least-loaded). Ignored
-     *                by the LeastLoaded policy.
-     */
+    /** Route one observation into the fleet. */
     std::future<Response>
     submit(const tensor::Tensor &obs,
            std::chrono::microseconds deadline_budget =
                std::chrono::microseconds{0},
-           std::uint64_t session = 0,
            const obs::SpanContext &parent = {});
 
     /** Callback flavour for non-blocking front-ends. */
     void submitAsync(const tensor::Tensor &obs,
                      std::chrono::microseconds deadline_budget,
-                     std::uint64_t session,
                      const obs::SpanContext &parent,
                      std::function<void(Response &&)> done);
 
@@ -151,10 +123,9 @@ class ReplicaRouter
     Response
     submitAndWait(const tensor::Tensor &obs,
                   std::chrono::microseconds deadline_budget =
-                      std::chrono::microseconds{0},
-                  std::uint64_t session = 0)
+                      std::chrono::microseconds{0})
     {
-        return submit(obs, deadline_budget, session).get();
+        return submit(obs, deadline_budget).get();
     }
 
     int replicas() const
@@ -198,8 +169,8 @@ class ReplicaRouter
     double shedRate() const;
 
   private:
-    /** Replica for @p session / current depths. */
-    int pickReplica(std::uint64_t session) const;
+    /** Least-loaded replica right now. */
+    int pickReplica() const;
 
     /** Shed check; fills @p resp and returns true when shedding. */
     bool shedNow(Response &resp);
@@ -213,8 +184,6 @@ class ReplicaRouter
     FleetConfig cfg_;
     std::vector<std::unique_ptr<PolicyServer>> replicas_;
     std::size_t shedThreshold_ = 0;
-    /** (hash, replica) vnode ring, sorted by hash. */
-    std::vector<std::pair<std::uint64_t, int>> ring_;
     std::atomic<std::uint64_t> publishedVersion_{0};
     std::atomic<std::uint64_t> routed_{0};
     std::atomic<std::uint64_t> sheds_{0};

@@ -530,7 +530,6 @@ TEST(ServeEventLoop, FrontsAReplicaFleet)
     Fixture f;
     FleetConfig fleet;
     fleet.replicas = 2;
-    fleet.policy = RoutePolicy::ConsistentHash;
     fleet.replica = f.config();
     ReplicaRouter router(f.net, fleet);
     router.publish(f.params);
@@ -539,8 +538,8 @@ TEST(ServeEventLoop, FrontsAReplicaFleet)
     EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
-    // Two connections, several requests each. Session affinity =
-    // connection id, so each connection sticks to one replica.
+    // Two connections, several requests each, spread across the
+    // replicas by least-loaded routing.
     TcpClient a;
     TcpClient b;
     ASSERT_TRUE(a.connect("127.0.0.1", loop.port()));

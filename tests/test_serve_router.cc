@@ -1,7 +1,6 @@
 /**
  * @file
- * ReplicaRouter tests: routing policies (least-loaded spread,
- * consistent-hash session affinity), fleet-wide shedding with
+ * ReplicaRouter tests: least-loaded spread, fleet-wide shedding with
  * retry_after_us hints, and the coordinated hot-swap barrier (zero
  * failed requests under publish churn, every replica answering with
  * the published version).
@@ -47,11 +46,10 @@ struct Fixture
     }
 
     FleetConfig
-    fleet(int replicas, RoutePolicy policy) const
+    fleet(int replicas) const
     {
         FleetConfig cfg;
         cfg.replicas = replicas;
-        cfg.policy = policy;
         cfg.replica.batch.maxBatch = 4;
         cfg.replica.workers = 1;
         return cfg;
@@ -108,25 +106,10 @@ class SlowBackend : public rl::DnnBackend
 
 } // namespace
 
-TEST(ServeRouter, PolicyNamesRoundTrip)
-{
-    EXPECT_STREQ(routePolicyName(RoutePolicy::LeastLoaded),
-                 "least-loaded");
-    EXPECT_STREQ(routePolicyName(RoutePolicy::ConsistentHash), "hash");
-    EXPECT_EQ(tryRoutePolicyFromName("least-loaded"),
-              RoutePolicy::LeastLoaded);
-    EXPECT_EQ(tryRoutePolicyFromName("hash"),
-              RoutePolicy::ConsistentHash);
-    EXPECT_EQ(tryRoutePolicyFromName("consistent-hash"),
-              RoutePolicy::ConsistentHash);
-    EXPECT_FALSE(tryRoutePolicyFromName("round-robin").has_value());
-}
-
 TEST(ServeRouter, RoutesAndServesAcrossReplicas)
 {
     Fixture f;
-    ReplicaRouter router(f.net,
-                         f.fleet(2, RoutePolicy::LeastLoaded));
+    ReplicaRouter router(f.net, f.fleet(2));
     router.publish(f.params);
     router.start();
     ASSERT_EQ(router.replicas(), 2);
@@ -152,62 +135,10 @@ TEST(ServeRouter, RoutesAndServesAcrossReplicas)
     router.stop();
 }
 
-TEST(ServeRouter, ConsistentHashPinsSessionToOneReplica)
-{
-    Fixture f;
-    ReplicaRouter router(f.net,
-                         f.fleet(3, RoutePolicy::ConsistentHash));
-    router.publish(f.params);
-    router.start();
-
-    const tensor::Tensor obs = f.observation(0.7f);
-    constexpr std::uint64_t kSession = 0xC0FFEE;
-    for (int i = 0; i < 30; ++i)
-        ASSERT_EQ(router.submitAndWait(obs, 0us, kSession).status,
-                  Status::Ok);
-    router.stop();
-
-    // Every request with the same session key landed on one replica.
-    int replicas_used = 0;
-    std::uint64_t total = 0;
-    for (int i = 0; i < router.replicas(); ++i) {
-        const std::uint64_t served =
-            router.replica(i).statsSnapshot().counterValue("served");
-        total += served;
-        if (served > 0)
-            ++replicas_used;
-    }
-    EXPECT_EQ(total, 30u);
-    EXPECT_EQ(replicas_used, 1);
-}
-
-TEST(ServeRouter, HashSpreadsDistinctSessions)
-{
-    Fixture f;
-    ReplicaRouter router(f.net,
-                         f.fleet(3, RoutePolicy::ConsistentHash));
-    router.publish(f.params);
-    router.start();
-
-    const tensor::Tensor obs = f.observation(0.4f);
-    for (std::uint64_t session = 1; session <= 60; ++session)
-        ASSERT_EQ(router.submitAndWait(obs, 0us, session).status,
-                  Status::Ok);
-    router.stop();
-
-    // 60 distinct sessions over a 3-replica / 64-vnode ring: every
-    // replica should own a share.
-    for (int i = 0; i < router.replicas(); ++i)
-        EXPECT_GT(
-            router.replica(i).statsSnapshot().counterValue("served"),
-            0u)
-            << "replica " << i << " owns no ring share";
-}
-
 TEST(ServeRouter, ShedsPastAggregateDepthWithRetryHint)
 {
     Fixture f;
-    FleetConfig cfg = f.fleet(2, RoutePolicy::LeastLoaded);
+    FleetConfig cfg = f.fleet(2);
     cfg.replica.queue.maxDepth = 16;
     cfg.shed.depthFraction = 0.25; // shed at 8 queued fleet-wide
     cfg.shed.baseRetryUs = 1500;
@@ -255,7 +186,7 @@ TEST(ServeRouter, ShedsPastAggregateDepthWithRetryHint)
 TEST(ServeRouter, DepthFractionOneDisablesRouterShedding)
 {
     Fixture f;
-    FleetConfig cfg = f.fleet(1, RoutePolicy::LeastLoaded);
+    FleetConfig cfg = f.fleet(1);
     cfg.replica.queue.maxDepth = 4;
     cfg.shed.depthFraction = 1.0;
     ReplicaRouter router(f.net, cfg, [&f](int) {
@@ -284,8 +215,7 @@ TEST(ServeRouter, DepthFractionOneDisablesRouterShedding)
 TEST(ServeRouter, CoordinatedHotSwapIsLockstepAndLossless)
 {
     Fixture f;
-    ReplicaRouter router(f.net,
-                         f.fleet(2, RoutePolicy::LeastLoaded));
+    ReplicaRouter router(f.net, f.fleet(2));
     const std::uint64_t v1 = router.publish(f.params);
     EXPECT_EQ(v1, 1u);
     router.start();
@@ -342,8 +272,7 @@ TEST(ServeRouter, CoordinatedHotSwapIsLockstepAndLossless)
 TEST(ServeRouter, DirectReplicaPublishResynchronizesFleet)
 {
     Fixture f;
-    ReplicaRouter router(f.net,
-                         f.fleet(2, RoutePolicy::LeastLoaded));
+    ReplicaRouter router(f.net, f.fleet(2));
     EXPECT_EQ(router.publish(f.params), 1u);
     router.start();
 
@@ -368,13 +297,12 @@ TEST(ServeRouter, DirectReplicaPublishResynchronizesFleet)
 TEST(ServeRouter, SubmitAsyncDeliversCompletion)
 {
     Fixture f;
-    ReplicaRouter router(f.net,
-                         f.fleet(2, RoutePolicy::LeastLoaded));
+    ReplicaRouter router(f.net, f.fleet(2));
     router.publish(f.params);
     router.start();
 
     std::promise<Response> delivered;
-    router.submitAsync(f.observation(0.8f), 0us, 5, {},
+    router.submitAsync(f.observation(0.8f), 0us, {},
                        [&delivered](Response &&r) {
                            delivered.set_value(std::move(r));
                        });
