@@ -5,8 +5,8 @@
  * Each worker owns a private DnnBackend (backends keep per-agent
  * scratch and staged weight layouts, so they are never shared) and
  * loops: take up to the max batch size of whatever is queued
- * (deadline-aware ordering), stage parameters if the model version
- * moved, run one forwardBatch, and complete every request's promise
+ * (earliest deadline first), stage parameters if the model version
+ * moved, run one forwardBatch, and complete every request's callback
  * with softmax/argmax/value.
  *
  * This mirrors the paper's dedicated inference compute unit, which

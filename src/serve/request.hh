@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <utility>
 #include <vector>
 
@@ -85,29 +84,23 @@ struct Request
     tensor::Tensor obs;         ///< observation [C, H, W]
     Clock::time_point enqueue{};
     Clock::time_point deadline = kNoDeadline;
-    std::promise<Response> result;
     /**
-     * Callback delivery for front-ends that must not block on a
-     * future (the epoll event loop). When set, completion invokes it
-     * exactly once — possibly inline from the submitting thread on a
-     * rejection, or from a scheduler worker otherwise — and the
-     * promise is left untouched.
+     * The one completion channel: runs exactly once with the terminal
+     * response, inline from the submitting thread on a rejection or
+     * from a scheduler worker otherwise. submit()'s future rides on
+     * it too.
      */
     std::function<void(Response &&)> onComplete;
     std::uint64_t seq = 0;      ///< queue arrival order (FIFO tiebreak)
     obs::SpanContext span;      ///< this request's trace identity
 };
 
-/** Deliver @p resp through @p r's completion channel (callback when
- * set, promise otherwise). Every terminal path funnels through here
- * so the two channels cannot diverge. */
+/** Deliver @p resp through @p r's completion callback. Every
+ * terminal path funnels through here. */
 inline void
 completeRequest(Request &r, Response &&resp)
 {
-    if (r.onComplete)
-        r.onComplete(std::move(resp));
-    else
-        r.result.set_value(std::move(resp));
+    r.onComplete(std::move(resp));
 }
 
 } // namespace fa3c::serve

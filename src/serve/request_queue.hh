@@ -51,7 +51,7 @@ class RequestQueue
      * @return Status::Ok when enqueued (ownership transferred);
      *         RejectedQueueFull / RejectedDeadline / RejectedClosed
      *         otherwise, in which case @p r is untouched and the
-     *         caller completes its promise.
+     *         caller completes it.
      */
     Status admit(Request &&r);
 

@@ -228,27 +228,12 @@ ReplicaRouter::submit(const tensor::Tensor &obs,
                       std::chrono::microseconds deadline_budget,
                       const obs::SpanContext &parent)
 {
-    {
-        Response resp;
-        if (shedNow(resp)) {
-            emitShedSpan(parent, Clock::now(), resp);
-            std::promise<Response> p;
-            p.set_value(std::move(resp));
-            return p.get_future();
-        }
-    }
-    const auto t0 = Clock::now();
-    const auto route = obs::childSpan(parent);
-    const int replica = pickReplica();
-    routed_.fetch_add(1, std::memory_order_relaxed);
-    auto future = replicas_[static_cast<std::size_t>(replica)]->submit(
-        obs, deadline_budget, route);
-    if (route.sampled) {
-        const std::array<obs::TraceArg, 1> args{
-            {{"replica", static_cast<double>(replica)}}};
-        obs::emitSpan(route, "serve.router", "route", t0, Clock::now(),
-                      args);
-    }
+    auto result = std::make_shared<std::promise<Response>>();
+    std::future<Response> future = result->get_future();
+    submitAsync(obs, deadline_budget, parent,
+                [result](Response &&resp) {
+                    result->set_value(std::move(resp));
+                });
     return future;
 }
 

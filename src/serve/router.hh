@@ -12,10 +12,10 @@
  *    shed controller that rejects *before* any enqueue once the
  *    fleet's queued depth crosses a configured fraction of total
  *    capacity. Shedding at the router is the cheap rejection — no
- *    queue lock, no admission estimator, no promise churn in a
- *    replica — which is what keeps the served-IPS curve flat past
- *    saturation instead of collapsing. Shed responses carry a
- *    retry_after_us back-off hint.
+ *    queue lock and no admission estimator in a replica — which is
+ *    what keeps the served-IPS curve flat past saturation instead of
+ *    collapsing. Shed responses carry a retry_after_us back-off
+ *    hint.
  *  - **Coordinated hot-swap**: publish() installs one parameter
  *    version on every replica behind a barrier (the call returns
  *    only when all replicas report the new version) with no serve
@@ -106,18 +106,23 @@ class ReplicaRouter
     /** publish() from a trainer's live global theta. */
     std::uint64_t publishFrom(rl::GlobalParams &global);
 
-    /** Route one observation into the fleet. */
+    /**
+     * Route one observation into the fleet: shed it, or hand it to
+     * the least-loaded replica's PolicyServer::submitAsync(). @p done
+     * runs exactly once, inline from this call when the request is
+     * shed or rejected.
+     */
+    void submitAsync(const tensor::Tensor &obs,
+                     std::chrono::microseconds deadline_budget,
+                     const obs::SpanContext &parent,
+                     std::function<void(Response &&)> done);
+
+    /** Future flavour of submitAsync(). */
     std::future<Response>
     submit(const tensor::Tensor &obs,
            std::chrono::microseconds deadline_budget =
                std::chrono::microseconds{0},
            const obs::SpanContext &parent = {});
-
-    /** Callback flavour for non-blocking front-ends. */
-    void submitAsync(const tensor::Tensor &obs,
-                     std::chrono::microseconds deadline_budget,
-                     const obs::SpanContext &parent,
-                     std::function<void(Response &&)> done);
 
     /** submit() + get(): blocking closed-loop client call. */
     Response

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 
 #include "obs/metrics.hh"
 #include "obs/prometheus.hh"
@@ -179,15 +180,9 @@ PolicyServer::drainEstimateUs() const
     return static_cast<std::uint32_t>(std::min(wait, 1e6));
 }
 
-std::future<Response>
+void
 PolicyServer::rejectNow(Request &&r, Status status)
 {
-    // Callback requests never hand out a future; asking the promise
-    // for one anyway would make the (unused) shared state an
-    // allocation on the hot rejection path.
-    std::future<Response> future;
-    if (!r.onComplete)
-        future = r.result.get_future();
     Response resp;
     resp.status = status;
     if (wantsRetryHint(status))
@@ -208,7 +203,6 @@ PolicyServer::rejectNow(Request &&r, Status status)
         }
         obs::metrics().count("serve", name);
     }
-    return future;
 }
 
 std::future<Response>
@@ -216,7 +210,13 @@ PolicyServer::submit(const tensor::Tensor &obs,
                      std::chrono::microseconds deadline_budget,
                      const obs::SpanContext &parent)
 {
-    return submitImpl(obs, deadline_budget, parent, {});
+    auto result = std::make_shared<std::promise<Response>>();
+    std::future<Response> future = result->get_future();
+    submitAsync(obs, deadline_budget, parent,
+                [result](Response &&resp) {
+                    result->set_value(std::move(resp));
+                });
+    return future;
 }
 
 void
@@ -226,15 +226,6 @@ PolicyServer::submitAsync(const tensor::Tensor &obs,
                           std::function<void(Response &&)> done)
 {
     FA3C_ASSERT(done, "submitAsync needs a completion handler");
-    (void)submitImpl(obs, deadline_budget, parent, std::move(done));
-}
-
-std::future<Response>
-PolicyServer::submitImpl(const tensor::Tensor &obs,
-                         std::chrono::microseconds deadline_budget,
-                         const obs::SpanContext &parent,
-                         std::function<void(Response &&)> done)
-{
     Request r;
     r.id = nextId_.fetch_add(1, std::memory_order_relaxed);
     r.span = obs::childSpan(parent);
@@ -254,39 +245,23 @@ PolicyServer::submitImpl(const tensor::Tensor &obs,
         return rejectNow(std::move(r), Status::RejectedClosed);
 
     r.obs = obs;
-    std::future<Response> future;
-    if (!r.onComplete)
-        future = r.result.get_future();
     const Status admitted = queue_.admit(std::move(r));
-    if (admitted == Status::Ok) {
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            stats_.counter("admitted").inc();
-        }
-        obs::metrics().count("serve", "admitted");
-        auto &bank = sim::perf().bank("serve");
-        static auto &admits = bank.counter("admitted");
-        admits.fetch_add(1, std::memory_order_relaxed);
-        bank.maxOf("queue_depth_hwm",
-                   static_cast<std::uint64_t>(queue_.depth()));
-        return future;
+    if (admitted != Status::Ok) {
+        // admit() consumes the request only on success, so on the
+        // rejection path the completion callback is still ours to
+        // fire.
+        return rejectNow(std::move(r), admitted);
     }
-    // admit() consumes the request only on success, so on the
-    // rejection path the completion channel is still ours to fire.
-    Response resp;
-    resp.status = admitted;
-    if (wantsRetryHint(admitted))
-        resp.retryAfterUs = drainEstimateUs();
-    completeRequest(r, std::move(resp));
-    slo_.recordRejected();
-    if (const char *name = rejectionCounterName(admitted)) {
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            stats_.counter(name).inc();
-        }
-        obs::metrics().count("serve", name);
+    {
+        std::lock_guard<std::mutex> lock(statsMutex_);
+        stats_.counter("admitted").inc();
     }
-    return future;
+    obs::metrics().count("serve", "admitted");
+    auto &bank = sim::perf().bank("serve");
+    static auto &admits = bank.counter("admitted");
+    admits.fetch_add(1, std::memory_order_relaxed);
+    bank.maxOf("queue_depth_hwm",
+               static_cast<std::uint64_t>(queue_.depth()));
 }
 
 sim::StatGroup

@@ -3,14 +3,14 @@
  * PolicyServer: the in-process entry point of the serving subsystem.
  *
  * Composition: admission-controlled RequestQueue -> BatchScheduler
- * worker pool (per-worker DnnBackend) -> promise/future completion,
- * with a ModelRegistry on the side that a live trainer publishes
- * parameter versions into (hot-swap without blocking in-flight
- * batches). The epoll front-end (serve/event_loop.hh) and the
- * load-generator bench both drive this same API.
+ * worker pool (per-worker DnnBackend) -> completion callback, with a
+ * ModelRegistry on the side that a live trainer publishes parameter
+ * versions into (hot-swap without blocking in-flight batches). The
+ * replica router (serve/router.hh) runs one PolicyServer per
+ * replica; the load-generator bench also drives one directly.
  *
  * Lifecycle: construct -> publish() at least once -> start() ->
- * submit()... -> stop(). Submissions before the first publish are
+ * submitAsync() / submit()... -> stop(). Submissions before the first publish are
  * rejected with RejectedNoModel; submissions after stop() with
  * RejectedClosed.
  */
@@ -94,26 +94,26 @@ class PolicyServer
      *                        front-end); the request's own span is
      *                        minted as its child, or as a fresh
      *                        sampled-or-not root when invalid.
-     * @return A future that always becomes ready — rejected requests
-     *         resolve immediately with the rejection reason.
+     * @param done            Completion handler. It runs exactly once
+     *                        with the response: inline from this call
+     *                        on a rejection, from a scheduler worker
+     *                        otherwise. It must not block (it runs on
+     *                        the serving hot path).
+     */
+    void submitAsync(const tensor::Tensor &obs,
+                     std::chrono::microseconds deadline_budget,
+                     const obs::SpanContext &parent,
+                     std::function<void(Response &&)> done);
+
+    /**
+     * Future flavour of submitAsync(): a handler that fulfils the
+     * returned future. Rejected requests resolve immediately.
      */
     std::future<Response>
     submit(const tensor::Tensor &obs,
            std::chrono::microseconds deadline_budget =
                std::chrono::microseconds{0},
            const obs::SpanContext &parent = {});
-
-    /**
-     * Callback flavour of submit() for non-blocking front-ends: the
-     * completion handler runs exactly once with the response —
-     * inline from this call on a rejection, from a scheduler worker
-     * otherwise. The handler must not block (it runs on the serving
-     * hot path).
-     */
-    void submitAsync(const tensor::Tensor &obs,
-                     std::chrono::microseconds deadline_budget,
-                     const obs::SpanContext &parent,
-                     std::function<void(Response &&)> done);
 
     /** submit() + get(): the blocking closed-loop client call. */
     Response
@@ -166,15 +166,7 @@ class PolicyServer
     obs::TelemetryRegistration telemetryReg_;
 
     /** Complete @p r immediately with @p status (admission path). */
-    std::future<Response> rejectNow(Request &&r, Status status);
-
-    /** Build, validate, and enqueue one request (shared by the
-     * future- and callback-flavoured submits). */
-    std::future<Response>
-    submitImpl(const tensor::Tensor &obs,
-               std::chrono::microseconds deadline_budget,
-               const obs::SpanContext &parent,
-               std::function<void(Response &&)> done);
+    void rejectNow(Request &&r, Status status);
 };
 
 } // namespace fa3c::serve
