@@ -80,43 +80,12 @@ struct EventLoopServer::CompletionBus
     }
 };
 
-EventLoopServer::EventLoopServer(PolicyServer &server,
-                                 const EventLoopConfig &cfg)
-    : EventLoopServer(
-          server.network(),
-          [&server](const tensor::Tensor &obs,
-                    std::chrono::microseconds deadline,
-                    const obs::SpanContext &parent,
-                    std::function<void(Response &&)> done) {
-              server.submitAsync(obs, deadline, parent,
-                                 std::move(done));
-          },
-          cfg)
-{
-}
-
 EventLoopServer::EventLoopServer(ReplicaRouter &router,
                                  const EventLoopConfig &cfg)
-    : EventLoopServer(
-          router.network(),
-          [&router](const tensor::Tensor &obs,
-                    std::chrono::microseconds deadline,
-                    const obs::SpanContext &parent,
-                    std::function<void(Response &&)> done) {
-              router.submitAsync(obs, deadline, parent,
-                                 std::move(done));
-          },
-          cfg)
-{
-}
-
-EventLoopServer::EventLoopServer(const nn::A3cNetwork &net,
-                                 SubmitFn submit,
-                                 const EventLoopConfig &cfg)
-    : net_(net), submit_(std::move(submit)), cfg_(cfg),
-      obsScratch_(tensor::Shape({net.config().inChannels,
-                                 net.config().inHeight,
-                                 net.config().inWidth})),
+    : router_(router), cfg_(cfg),
+      obsScratch_(tensor::Shape({router.network().config().inChannels,
+                                 router.network().config().inHeight,
+                                 router.network().config().inWidth})),
       bus_(std::make_shared<CompletionBus>()),
       telemetryReg_(
           obs::telemetry(),
@@ -137,9 +106,7 @@ EventLoopServer::EventLoopServer(const nn::A3cNetwork &net,
               return running_.load(std::memory_order_relaxed);
           })
 {
-    wantNumel_ = static_cast<std::size_t>(net_.config().inChannels) *
-                 static_cast<std::size_t>(net_.config().inHeight) *
-                 static_cast<std::size_t>(net_.config().inWidth);
+    wantNumel_ = obsScratch_.numel();
 }
 
 EventLoopServer::~EventLoopServer()
@@ -431,16 +398,16 @@ EventLoopServer::parseFrames(Conn &c)
         auto bus = bus_;
         const std::uint64_t conn_id = c.id;
         const std::uint64_t tag = h.tag;
-        submit_(obsScratch_,
-                std::chrono::microseconds(h.deadlineUs), slot.span,
-                [bus, conn_id, seq, tag](Response &&resp) {
-                    Completion done;
-                    done.conn = conn_id;
-                    done.seq = seq;
-                    done.tag = tag;
-                    done.resp = std::move(resp);
-                    bus->post(std::move(done));
-                });
+        router_.submitAsync(
+            obsScratch_, std::chrono::microseconds(h.deadlineUs),
+            slot.span, [bus, conn_id, seq, tag](Response &&resp) {
+                Completion done;
+                done.conn = conn_id;
+                done.seq = seq;
+                done.tag = tag;
+                done.resp = std::move(resp);
+                bus->post(std::move(done));
+            });
     }
     // Reclaim consumed bytes; what remains is an incomplete frame.
     c.in.reclaim();

@@ -14,10 +14,10 @@
  *    discarded in a drain state (never buffered) and answered with
  *    RejectedBadRequest; a bad magic or a payload claiming more than
  *    maxObsNumel floats closes the connection.
- *  - **Submit** hands the observation to the backing PolicyServer or
- *    ReplicaRouter via submitAsync(); the completion callback posts
- *    the response onto an eventfd-backed completion bus that wakes
- *    the loop. Responses flush strictly in request order per
+ *  - **Submit** hands the observation to ReplicaRouter::submitAsync()
+ *    (a one-replica router fronts a single PolicyServer); the
+ *    completion callback posts the response onto an eventfd-backed
+ *    completion bus that wakes the loop. Responses flush strictly in request order per
  *    connection (slots fill out of order, drain from the head), so
  *    pipelined clients can match responses positionally as well as
  *    by tag.
@@ -50,7 +50,6 @@
 
 #include "net/frame.hh"
 #include "serve/router.hh"
-#include "serve/server.hh"
 #include "serve/wire.hh"
 
 namespace fa3c::serve {
@@ -71,14 +70,11 @@ struct EventLoopConfig
     std::size_t writeBufferCap = 1u << 20;
 };
 
-/** Single-threaded epoll server over a PolicyServer or a fleet. */
+/** Single-threaded epoll server over a replica fleet. */
 class EventLoopServer
 {
   public:
-    /** Front a single in-process PolicyServer. */
-    EventLoopServer(PolicyServer &server, const EventLoopConfig &cfg);
-
-    /** Front a replica fleet. */
+    /** Front @p router (must outlive the server). */
     EventLoopServer(ReplicaRouter &router, const EventLoopConfig &cfg);
 
     ~EventLoopServer();
@@ -114,12 +110,6 @@ class EventLoopServer
     }
 
   private:
-    /** Routed completion-callback signature shared by both backings. */
-    using SubmitFn = std::function<void(
-        const tensor::Tensor &, std::chrono::microseconds,
-        const obs::SpanContext &,
-        std::function<void(Response &&)>)>;
-
     struct Completion
     {
         std::uint64_t conn = 0;
@@ -163,9 +153,6 @@ class EventLoopServer
         std::uint64_t drainTag = 0;
     };
 
-    EventLoopServer(const nn::A3cNetwork &net, SubmitFn submit,
-                    const EventLoopConfig &cfg);
-
     void loopMain();
     void acceptReady();
     /** Drain the socket's readable bytes; may close the conn. */
@@ -189,8 +176,7 @@ class EventLoopServer
     /** Close if nothing remains to read or flush; false = closed. */
     bool maybeRetire(Conn &c);
 
-    const nn::A3cNetwork &net_;
-    SubmitFn submit_;
+    ReplicaRouter &router_;
     EventLoopConfig cfg_;
     std::size_t wantNumel_ = 0;
     tensor::Tensor obsScratch_; ///< loop-thread-only staging tensor

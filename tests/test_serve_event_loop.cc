@@ -63,6 +63,17 @@ struct Fixture
         cfg.workers = 1;
         return cfg;
     }
+
+    /** One replica with router shedding off: the PolicyServer that
+     * config() describes, behind the router the event loop fronts. */
+    FleetConfig
+    fleet() const
+    {
+        FleetConfig cfg;
+        cfg.shed.depthFraction = 1.0;
+        cfg.replica = config();
+        return cfg;
+    }
 };
 
 /** Blocking raw socket speaking the wire format byte-by-byte, for
@@ -187,16 +198,16 @@ encodedRequest(const tensor::Tensor &obs, std::uint64_t tag,
 TEST(ServeEventLoop, RoundTripMatchesInProcessSubmit)
 {
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
     ASSERT_NE(loop.port(), 0);
 
     const tensor::Tensor obs = f.observation(0.9f);
-    const Response direct = server.submitAndWait(obs);
+    const Response direct = router.submitAndWait(obs);
     ASSERT_EQ(direct.status, Status::Ok);
 
     // The wire answer must match the in-process one exactly.
@@ -222,11 +233,11 @@ TEST(ServeEventLoop, RoundTripMatchesInProcessSubmit)
 TEST(ServeEventLoop, FrameSplitAcrossManyReadsReassembles)
 {
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
     RawClient client;
@@ -248,11 +259,11 @@ TEST(ServeEventLoop, FrameSplitAcrossManyReadsReassembles)
 TEST(ServeEventLoop, PipelinedRequestsAnswerInOrder)
 {
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
     RawClient client;
@@ -287,11 +298,11 @@ TEST(ServeEventLoop, PipelinedRequestsAnswerInOrder)
 TEST(ServeEventLoop, HalfCloseStillReceivesOwedResponses)
 {
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
     RawClient client;
@@ -326,15 +337,15 @@ TEST(ServeEventLoop, HalfCloseStillReceivesOwedResponses)
 TEST(ServeEventLoop, SlowReaderDoesNotStallOtherClients)
 {
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
     // A tiny write budget so the slow reader trips backpressure
     // after a handful of unread responses.
     EventLoopConfig cfg;
     cfg.writeBufferCap = 2048;
-    EventLoopServer loop(server, cfg);
+    EventLoopServer loop(router, cfg);
     ASSERT_TRUE(loop.start());
 
     RawClient slow;
@@ -388,11 +399,11 @@ TEST(ServeEventLoop, SlowReaderDoesNotStallOtherClients)
 TEST(ServeEventLoop, WrongGeometryIsDrainedAndAnswered)
 {
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
     RawClient client;
@@ -426,11 +437,11 @@ TEST(ServeEventLoop, WrongGeometryThenHalfCloseInSameBatch)
     // the connection from inside parseFrames — the loop must stop
     // touching the erased Conn instead of continuing to parse on it.
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
     RawClient client;
@@ -455,11 +466,11 @@ TEST(ServeEventLoop, WrongGeometryThenHalfCloseInSameBatch)
 TEST(ServeEventLoop, OversizeNumelClaimClosesConnection)
 {
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
     RawClient client;
@@ -484,11 +495,11 @@ TEST(ServeEventLoop, OversizeNumelClaimClosesConnection)
 TEST(ServeEventLoop, BadMagicClosesConnection)
 {
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
     // A foreign magic, then full frames under the retired v1

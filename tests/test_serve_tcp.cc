@@ -117,6 +117,17 @@ struct Fixture
         cfg.workers = 1;
         return cfg;
     }
+
+    /** One replica with router shedding off: the PolicyServer that
+     * config() describes, behind the router the event loop fronts. */
+    FleetConfig
+    fleet() const
+    {
+        FleetConfig cfg;
+        cfg.shed.depthFraction = 1.0;
+        cfg.replica = config();
+        return cfg;
+    }
 };
 
 } // namespace
@@ -124,11 +135,11 @@ struct Fixture
 TEST(ServeTcp, WrongObservationSizeIsAnsweredNotDropped)
 {
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
     TcpClient client;
@@ -149,11 +160,11 @@ TEST(ServeTcp, WrongObservationSizeIsAnsweredNotDropped)
 TEST(ServeTcp, ManyConnectionsBatchServerSide)
 {
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
     constexpr int kClients = 6;
@@ -184,7 +195,7 @@ TEST(ServeTcp, ManyConnectionsBatchServerSide)
               static_cast<std::uint64_t>(kClients));
     loop.stop();
 
-    const sim::StatGroup stats = server.statsSnapshot();
+    const sim::StatGroup stats = router.replica(0).statsSnapshot();
     EXPECT_EQ(stats.counterValue("served"),
               static_cast<std::uint64_t>(kClients * kRequests));
 }
@@ -195,11 +206,11 @@ TEST(ServeTcp, PropagatesTraceContextAcrossTheWire)
         << "static init should have enabled FA3C_TRACE";
 
     Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    ReplicaRouter router(f.net, f.fleet());
+    router.publish(f.params);
+    router.start();
 
-    EventLoopServer loop(server, EventLoopConfig{});
+    EventLoopServer loop(router, EventLoopConfig{});
     ASSERT_TRUE(loop.start());
 
     TcpClient client;
