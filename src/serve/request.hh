@@ -91,7 +91,7 @@ struct Request
      * it too.
      */
     std::function<void(Response &&)> onComplete;
-    std::uint64_t seq = 0;      ///< queue arrival order (FIFO tiebreak)
+    std::uint64_t seq = 0;      ///< queue arrival order (EDF tiebreak)
     obs::SpanContext span;      ///< this request's trace identity
 };
 

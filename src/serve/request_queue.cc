@@ -4,21 +4,24 @@
 
 namespace fa3c::serve {
 
+namespace {
+
+/** Heap order: true when @p a pops after @p b, so the std max-heap
+ * keeps the earliest (deadline, arrival) on top. */
 bool
-RequestQueue::before(const Request &a, const Request &b) const
+popsAfter(const Request &a, const Request &b)
 {
-    if (cfg_.edf && a.deadline != b.deadline)
-        return a.deadline < b.deadline;
-    return a.seq < b.seq;
+    if (a.deadline != b.deadline)
+        return a.deadline > b.deadline;
+    return a.seq > b.seq;
 }
+
+} // namespace
 
 Request
 RequestQueue::popTopLocked()
 {
-    const auto cmp = [this](const Request &x, const Request &y) {
-        return before(y, x); // max-heap order inverted -> min-heap
-    };
-    std::pop_heap(items_.begin(), items_.end(), cmp);
+    std::pop_heap(items_.begin(), items_.end(), popsAfter);
     Request r = std::move(items_.back());
     items_.pop_back();
     if (r.deadline != kNoDeadline &&
@@ -69,10 +72,7 @@ RequestQueue::admit(Request &&r)
     if (r.deadline != kNoDeadline)
         deadlines_.emplace(r.deadline, r.seq);
     items_.push_back(std::move(r));
-    const auto cmp = [this](const Request &x, const Request &y) {
-        return before(y, x);
-    };
-    std::push_heap(items_.begin(), items_.end(), cmp);
+    std::push_heap(items_.begin(), items_.end(), popsAfter);
     cv_.notify_one();
     return Status::Ok;
 }

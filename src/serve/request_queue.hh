@@ -10,9 +10,9 @@
  * drains is rejected immediately so the client can fail over instead
  * of waiting for a timeout.
  *
- * Pop order is earliest-deadline-first by default (requests without a
- * deadline sort last, then by arrival), or pure FIFO when EDF is
- * disabled. popBatch() is work-conserving: it never holds a request
+ * Pop order is earliest-deadline-first: requests without a deadline
+ * sort last, and equal deadlines pop in arrival order. popBatch() is
+ * work-conserving: it never holds a request
  * back to wait for company, so a batch holds whatever queued up while
  * the worker was busy.
  */
@@ -40,7 +40,6 @@ class RequestQueue
     struct Config
     {
         std::size_t maxDepth = 512; ///< admission bound
-        bool edf = true;            ///< earliest-deadline-first pops
     };
 
     explicit RequestQueue(const Config &cfg) : cfg_(cfg) {}
@@ -90,16 +89,14 @@ class RequestQueue
     }
 
   private:
-    /** True when @p a pops before @p b under the configured policy. */
-    bool before(const Request &a, const Request &b) const;
-
-    /** Pop the policy-minimum request. @pre !items_.empty(), locked. */
+    /** Pop the earliest-deadline request. @pre !items_.empty(),
+     * locked. */
     Request popTopLocked();
 
     Config cfg_;
     mutable std::mutex mutex_;
     std::condition_variable cv_;
-    std::vector<Request> items_; ///< binary heap under before()
+    std::vector<Request> items_; ///< heap, earliest deadline on top
     /**
      * (deadline, seq) for every queued request whose deadline has not
      * yet been observed expired. Together with expiredQueued_ this

@@ -28,7 +28,7 @@ makeRequest(std::uint64_t id,
 
 TEST(ServeQueue, RejectsWhenDepthExceeded)
 {
-    RequestQueue queue({.maxDepth = 2, .edf = true});
+    RequestQueue queue({.maxDepth = 2});
     EXPECT_EQ(queue.admit(makeRequest(1)), Status::Ok);
     EXPECT_EQ(queue.admit(makeRequest(2)), Status::Ok);
     EXPECT_EQ(queue.admit(makeRequest(3)), Status::RejectedQueueFull);
@@ -37,7 +37,7 @@ TEST(ServeQueue, RejectsWhenDepthExceeded)
 
 TEST(ServeQueue, RejectsExpiredAndInfeasibleDeadlines)
 {
-    RequestQueue queue({.maxDepth = 16, .edf = true});
+    RequestQueue queue({.maxDepth = 16});
     // A deadline already in the past is dead on arrival.
     EXPECT_EQ(queue.admit(makeRequest(1, Clock::now() - 1ms)),
               Status::RejectedDeadline);
@@ -54,7 +54,7 @@ TEST(ServeQueue, RejectsExpiredAndInfeasibleDeadlines)
 
 TEST(ServeQueue, ExpiredEntriesDoNotCountTowardAdmission)
 {
-    RequestQueue queue({.maxDepth = 16, .edf = true});
+    RequestQueue queue({.maxDepth = 16});
     // Three requests expire while queued (admitted while the service
     // estimate was still zero, so their tight deadlines cleared).
     ASSERT_EQ(queue.admit(makeRequest(1, Clock::now() + 1ms)),
@@ -75,7 +75,7 @@ TEST(ServeQueue, ExpiredEntriesDoNotCountTowardAdmission)
 
 TEST(ServeQueue, ExpiredAccountingSurvivesPopBatch)
 {
-    RequestQueue queue({.maxDepth = 16, .edf = true});
+    RequestQueue queue({.maxDepth = 16});
     // Two requests expire while queued; a feasibility-checked admit
     // then observes them as expired (the purge), and popBatch drains
     // them. The expired-entry bookkeeping must return to zero with
@@ -109,7 +109,7 @@ TEST(ServeQueue, ExpiredAccountingSurvivesPopBatch)
 
 TEST(ServeQueue, PopsEarliestDeadlineFirst)
 {
-    RequestQueue queue({.maxDepth = 16, .edf = true});
+    RequestQueue queue({.maxDepth = 16});
     const auto now = Clock::now();
     ASSERT_EQ(queue.admit(makeRequest(1, now + 30s)), Status::Ok);
     ASSERT_EQ(queue.admit(makeRequest(2, now + 10s)), Status::Ok);
@@ -127,26 +127,9 @@ TEST(ServeQueue, PopsEarliestDeadlineFirst)
     EXPECT_EQ(out[3].id, 3u); // deadline-less requests sort last
 }
 
-TEST(ServeQueue, FifoModePreservesArrivalOrder)
-{
-    RequestQueue queue({.maxDepth = 16, .edf = false});
-    const auto now = Clock::now();
-    ASSERT_EQ(queue.admit(makeRequest(1, now + 30s)), Status::Ok);
-    ASSERT_EQ(queue.admit(makeRequest(2, now + 10s)), Status::Ok);
-    ASSERT_EQ(queue.admit(makeRequest(3, now + 20s)), Status::Ok);
-
-    std::vector<Request> out;
-    std::vector<Request> expired;
-    ASSERT_TRUE(queue.popBatch(3, out, expired));
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out[0].id, 1u);
-    EXPECT_EQ(out[1].id, 2u);
-    EXPECT_EQ(out[2].id, 3u);
-}
-
 TEST(ServeQueue, ExpiredRequestsAreSeparated)
 {
-    RequestQueue queue({.maxDepth = 16, .edf = true});
+    RequestQueue queue({.maxDepth = 16});
     // Admission only rejects deadlines that are already infeasible at
     // push time; this one expires while it sits in the queue.
     ASSERT_EQ(queue.admit(makeRequest(1, Clock::now() + 2ms)),
@@ -165,7 +148,7 @@ TEST(ServeQueue, ExpiredRequestsAreSeparated)
 
 TEST(ServeQueue, MaxBatchIsRespected)
 {
-    RequestQueue queue({.maxDepth = 16, .edf = true});
+    RequestQueue queue({.maxDepth = 16});
     for (std::uint64_t i = 1; i <= 5; ++i)
         ASSERT_EQ(queue.admit(makeRequest(i)), Status::Ok);
 
@@ -178,7 +161,7 @@ TEST(ServeQueue, MaxBatchIsRespected)
 
 TEST(ServeQueue, PartialBatchReturnsWithoutWaiting)
 {
-    RequestQueue queue({.maxDepth = 16, .edf = true});
+    RequestQueue queue({.maxDepth = 16});
     ASSERT_EQ(queue.admit(makeRequest(1)), Status::Ok);
     std::thread late([&queue] {
         std::this_thread::sleep_for(200ms);
@@ -203,7 +186,7 @@ TEST(ServeQueue, PartialBatchReturnsWithoutWaiting)
 
 TEST(ServeQueue, CloseDrainsThenSignalsShutdown)
 {
-    RequestQueue queue({.maxDepth = 16, .edf = true});
+    RequestQueue queue({.maxDepth = 16});
     ASSERT_EQ(queue.admit(makeRequest(1)), Status::Ok);
     queue.close();
     EXPECT_EQ(queue.admit(makeRequest(2)), Status::RejectedClosed);
@@ -218,7 +201,7 @@ TEST(ServeQueue, CloseDrainsThenSignalsShutdown)
 
 TEST(ServeQueue, CloseWakesBlockedPopper)
 {
-    RequestQueue queue({.maxDepth = 16, .edf = true});
+    RequestQueue queue({.maxDepth = 16});
     std::thread closer([&queue] {
         std::this_thread::sleep_for(10ms);
         queue.close();
@@ -231,7 +214,7 @@ TEST(ServeQueue, CloseWakesBlockedPopper)
 
 TEST(ServeQueue, ServiceEstimateIsSmoothed)
 {
-    RequestQueue queue({.maxDepth = 4, .edf = true});
+    RequestQueue queue({.maxDepth = 4});
     EXPECT_EQ(queue.serviceEstimateUs(), 0.0);
     queue.noteServiceTime(100.0);
     EXPECT_DOUBLE_EQ(queue.serviceEstimateUs(), 100.0);
