@@ -13,7 +13,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "obs/metrics.hh"
 #include "obs/prometheus.hh"
 #include "obs/span.hh"
 #include "sim/logging.hh"
@@ -285,7 +284,6 @@ EventLoopServer::acceptReady()
         }
         accepted_.fetch_add(1, std::memory_order_relaxed);
         active_.store(conns_.size(), std::memory_order_relaxed);
-        obs::metrics().count("serve", "eventloop_accepted");
     }
 }
 

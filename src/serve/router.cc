@@ -6,7 +6,6 @@
 #include <limits>
 #include <string_view>
 
-#include "obs/metrics.hh"
 #include "obs/prometheus.hh"
 #include "sim/logging.hh"
 
@@ -135,7 +134,6 @@ ReplicaRouter::publish(const nn::ParamSet &params)
                   "resynchronized fleet at version ",
                   version);
     publishedVersion_.store(version, std::memory_order_release);
-    obs::metrics().count("router", "publishes");
     return version;
 }
 
@@ -200,7 +198,6 @@ ReplicaRouter::shedNow(Response &resp)
         drain = std::min(drain, r->drainEstimateUs());
     resp.retryAfterUs =
         std::clamp(drain, cfg_.shed.baseRetryUs, cfg_.shed.maxRetryUs);
-    obs::metrics().count("router", "shed");
     return true;
 }
 

@@ -13,20 +13,6 @@ namespace fa3c::serve {
 
 namespace {
 
-const char *
-rejectionCounterName(Status status)
-{
-    switch (status) {
-      case Status::RejectedQueueFull: return "rejected_queue_full";
-      case Status::RejectedDeadline: return "rejected_deadline";
-      case Status::RejectedNoModel: return "rejected_no_model";
-      case Status::RejectedClosed: return "rejected_closed";
-      case Status::RejectedBadRequest: return "rejected_bad_request";
-      case Status::RejectedShed: return "rejected_shed";
-      default: return nullptr;
-    }
-}
-
 /** Rejections whose cause is transient queue pressure carry a
  * retry_after_us back-off hint; the rest would fail again no matter
  * when the client retried. */
@@ -188,21 +174,21 @@ PolicyServer::rejectNow(Request &&r, Status status)
     if (wantsRetryHint(status))
         resp.retryAfterUs = drainEstimateUs();
     completeRequest(r, std::move(resp));
+    // The status name doubles as the rejection counter's name.
+    const char *name = statusName(status);
     if (r.span.sampled) {
         const std::array<obs::TraceArg, 1> args{
             {{"request_id", static_cast<double>(r.id)}}};
         obs::emitSpan(r.span, "serve.pipeline",
-                      std::string("request.") + statusName(status),
-                      r.enqueue, Clock::now(), args);
+                      std::string("request.") + name, r.enqueue,
+                      Clock::now(), args);
     }
     slo_.recordRejected();
-    if (const char *name = rejectionCounterName(status)) {
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            stats_.counter(name).inc();
-        }
-        obs::metrics().count("serve", name);
+    {
+        std::lock_guard<std::mutex> lock(statsMutex_);
+        stats_.counter(name).inc();
     }
+    obs::metrics().count("serve", name);
 }
 
 std::future<Response>
