@@ -12,15 +12,13 @@
 namespace fa3c::obs {
 
 TraceWriter::TraceWriter(const std::string &path,
-                         std::uint64_t max_events,
-                         std::uint64_t max_bytes)
+                         std::uint64_t max_events)
     : epoch_(std::chrono::steady_clock::now()),
       startUnixUs_(static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::system_clock::now().time_since_epoch())
               .count())),
-      osPid_(static_cast<int>(::getpid())), maxEvents_(max_events),
-      maxBytes_(max_bytes)
+      osPid_(static_cast<int>(::getpid())), maxEvents_(max_events)
 {
     ensureParentDir(path);
     out_.open(path, std::ios::trunc);
@@ -126,9 +124,7 @@ TraceWriter::emitLocked(const std::string &event_json)
 {
     if (!out_ || closed_)
         return;
-    if (written_ >= maxEvents_ ||
-        (maxBytes_ != 0 &&
-         bytesWritten_ + event_json.size() > maxBytes_)) {
+    if (written_ >= maxEvents_) {
         ++dropped_;
         metrics().count("trace", "dropped_events");
         return;
@@ -137,7 +133,6 @@ TraceWriter::emitLocked(const std::string &event_json)
         out_ << ",\n";
     firstEvent_ = false;
     out_ << event_json;
-    bytesWritten_ += event_json.size() + 2;
     ++written_;
 }
 
@@ -301,11 +296,7 @@ trace()
         std::uint64_t max_events = 8'000'000;
         if (const char *cap = std::getenv("FA3C_TRACE_MAX_EVENTS"))
             max_events = std::strtoull(cap, nullptr, 10);
-        std::uint64_t max_bytes = 0;
-        if (const char *mb = std::getenv("FA3C_TRACE_MAX_MB"))
-            max_bytes = std::strtoull(mb, nullptr, 10) * 1024 * 1024;
-        auto writer =
-            std::make_unique<TraceWriter>(path, max_events, max_bytes);
+        auto writer = std::make_unique<TraceWriter>(path, max_events);
         if (!writer->ok())
             return nullptr;
         notifyTraceStarted(*writer);

@@ -15,10 +15,10 @@
  *
  * Enable globally by setting FA3C_TRACE=<path>; all instrumentation
  * sites are no-ops when tracing is off (trace() returns nullptr).
- * FA3C_TRACE_MAX_EVENTS caps the event count and FA3C_TRACE_MAX_MB
- * the file size; past either cap events are dropped (and counted in
- * both the trace footer and the `trace.dropped_events` metric) rather
- * than growing the file without bound.
+ * FA3C_TRACE_MAX_EVENTS caps the event count (default 8 M); past the
+ * cap events are dropped (and counted in both the trace footer and
+ * the `trace.dropped_events` metric) rather than growing the file
+ * without bound.
  */
 
 #ifndef FA3C_OBS_TRACE_HH
@@ -45,12 +45,11 @@ class TraceWriter
 {
   public:
     /**
-     * Opens @p path for writing; check ok() afterwards. @p max_bytes
-     * caps the emitted body size (0 = unlimited).
+     * Opens @p path for writing; check ok() afterwards. Events past
+     * @p max_events are dropped.
      */
     explicit TraceWriter(const std::string &path,
-                         std::uint64_t max_events = 8'000'000,
-                         std::uint64_t max_bytes = 0);
+                         std::uint64_t max_events = 8'000'000);
     ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
@@ -145,8 +144,6 @@ class TraceWriter
     int osPid_ = 0;
     std::string processLabel_;
     std::uint64_t maxEvents_;
-    std::uint64_t maxBytes_;
-    std::uint64_t bytesWritten_ = 0;
     std::uint64_t written_ = 0;
     std::uint64_t dropped_ = 0;
     bool firstEvent_ = true;

@@ -11,8 +11,8 @@
  * (parseable, footer included) trace file — the exact artifacts the
  * guard exists to save from an interrupted serve process.
  *
- * A second test drives TraceWriter directly against a small byte cap:
- * past the cap events are dropped and counted, but the file must
+ * A second test drives TraceWriter directly against a small event
+ * cap: past the cap events are dropped and counted, but the file must
  * still close as valid JSON.
  */
 
@@ -154,41 +154,13 @@ TEST(ExportGuard, SigtermFlushesMetricsAndFinalizesTrace)
     std::remove(trace_path.c_str());
 }
 
-TEST(TraceWriterCap, ByteCapDropsEventsButKeepsValidJson)
-{
-    TempFile file("trace_cap_" + std::to_string(::getpid()) + ".json");
-    std::uint64_t written = 0;
-    std::uint64_t dropped = 0;
-    {
-        obs::TraceWriter w(file.path(), /*max_events=*/1'000'000,
-                           /*max_bytes=*/4096);
-        ASSERT_TRUE(w.ok());
-        for (int i = 0; i < 1000; ++i)
-            w.hostCompleteEvent("cap", "event", i * 10.0,
-                                i * 10.0 + 5.0);
-        written = w.eventsWritten();
-        dropped = w.eventsDropped();
-    }
-    EXPECT_GT(dropped, 0u) << "4KB must not hold 1000 events";
-    EXPECT_GT(written, 0u);
-    EXPECT_LT(written, 1000u);
-
-    const JsonValue doc = test::parseFile(file.path());
-    EXPECT_EQ(doc.at("otherData").at("droppedEvents").number,
-              static_cast<double>(dropped));
-    // Metadata events (process/thread names) ride along with the "X"
-    // events, so the array holds at least the written count.
-    EXPECT_GE(doc.at("traceEvents").array.size(), written);
-}
-
 TEST(TraceWriterCap, EventCapStillHonored)
 {
     TempFile file("trace_evcap_" + std::to_string(::getpid()) +
                   ".json");
     std::uint64_t dropped = 0;
     {
-        obs::TraceWriter w(file.path(), /*max_events=*/10,
-                           /*max_bytes=*/0);
+        obs::TraceWriter w(file.path(), /*max_events=*/10);
         for (int i = 0; i < 100; ++i)
             w.hostCompleteEvent("cap", "event", i * 10.0,
                                 i * 10.0 + 5.0);

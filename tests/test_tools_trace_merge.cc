@@ -36,7 +36,7 @@ void
 writeTraceWithSpan(const std::string &path, const std::string &label,
                    double clock_offset_us, double trace_id)
 {
-    obs::TraceWriter writer(path, 1000, 0);
+    obs::TraceWriter writer(path, 1000);
     ASSERT_TRUE(writer.ok());
     writer.setProcessLabel(label);
     writer.setClockOffsetUs(clock_offset_us);
