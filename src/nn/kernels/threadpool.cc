@@ -1,15 +1,13 @@
 #include "nn/kernels/threadpool.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "sim/logging.hh"
+#include "sim/kernel_threads.hh"
 
 namespace fa3c::nn::kernels {
 
@@ -18,21 +16,9 @@ namespace {
 int
 resolveThreads()
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (const char *env = std::getenv("FA3C_KERNEL_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        // The pool starts width - 1 threads, so a typo must not start
-        // thousands of them.
-        const int cores = std::max(1, static_cast<int>(hw));
-        if (v > cores) {
-            FA3C_WARN("FA3C_KERNEL_THREADS=", env, " exceeds the ",
-                      cores, " hardware threads; using ", cores);
-            return cores;
-        }
-        if (v >= 1)
-            return static_cast<int>(v);
-    }
-    const unsigned half = hw / 2;
+    if (const int width = sim::kernelThreadsFromEnv(); width > 0)
+        return width;
+    const unsigned half = std::thread::hardware_concurrency() / 2;
     return static_cast<int>(half < 1 ? 1 : (half > 4 ? 4 : half));
 }
 

@@ -1,8 +1,9 @@
 #include "obs/host_info.hh"
 
-#include <cstdlib>
 #include <fstream>
 #include <thread>
+
+#include "sim/kernel_threads.hh"
 
 namespace fa3c::obs {
 
@@ -42,9 +43,7 @@ probe()
     info.cpuModel = cpuModelString();
     info.logicalCores =
         static_cast<int>(std::thread::hardware_concurrency());
-    if (const char *threads = std::getenv("FA3C_KERNEL_THREADS"))
-        info.kernelThreads =
-            static_cast<int>(std::strtol(threads, nullptr, 10));
+    info.kernelThreads = sim::kernelThreadsFromEnv();
     info.fingerprint = info.cpuModel + "/" +
                        std::to_string(info.logicalCores) + "c";
     if (info.kernelThreads > 0)

@@ -21,7 +21,8 @@ struct HostInfo
     /** CPU model string from /proc/cpuinfo ("unknown" elsewhere). */
     std::string cpuModel;
     int logicalCores = 0;
-    /** FA3C_KERNEL_THREADS at process start (0 = unset/default). */
+    /** The kernel pool width FA3C_KERNEL_THREADS sets, clamped as the
+     * pool clamps it (0 = unset: the pool's default width). */
     int kernelThreads = 0;
     /**
      * Stable one-line identity: "<cpu model>/<cores>c[/<threads>t]".

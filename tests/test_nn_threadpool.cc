@@ -12,12 +12,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nn/kernels/threadpool.hh"
+#include "obs/host_info.hh"
 #include "sim/logging.hh"
 
 using fa3c::nn::kernels::kernelThreads;
@@ -111,10 +113,11 @@ TEST(NnThreadpool, WidthIsAtLeastOne)
 
 /**
  * A width far above the core count is clamped to the hardware thread
- * count with a warning. kernelThreads() caches its first read, so the
- * check runs in a re-executed child that sets the variable before the
- * first call. The child never calls parallelFor, so no pool (and no
- * thread) is ever built.
+ * count with a warning, and the benchmark host fingerprint records the
+ * clamped width the pool runs, not the raw value. kernelThreads()
+ * caches its first read, so the check runs in a re-executed child
+ * that sets the variable before the first call. The child never calls
+ * parallelFor, so no pool (and no thread) is ever built.
  */
 TEST(NnThreadpoolDeathTest, EnvWidthClampsToHardwareThreads)
 {
@@ -125,7 +128,13 @@ TEST(NnThreadpoolDeathTest, EnvWidthClampsToHardwareThreads)
         {
             fa3c::sim::setLogLevel(fa3c::sim::LogLevel::Warn);
             ::setenv("FA3C_KERNEL_THREADS", "1000000", 1);
-            std::exit(kernelThreads() == cores ? 0 : 1);
+            const fa3c::obs::HostInfo &host = fa3c::obs::hostInfo();
+            std::string suffix = "/";
+            suffix += std::to_string(cores) + "t";
+            const bool recorded =
+                host.kernelThreads == kernelThreads() &&
+                host.fingerprint.ends_with(suffix);
+            std::exit(kernelThreads() == cores && recorded ? 0 : 1);
         },
         ::testing::ExitedWithCode(0),
         "FA3C_KERNEL_THREADS=1000000 exceeds");
