@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "obs/metrics.hh"
 #include "sim/logging.hh"
 #include "sim/perf_counters.hh"
 
@@ -33,12 +32,6 @@ RmspropModule::update(std::span<float> theta, std::span<float> g,
         }
     }
 
-    if (obs::MetricsRegistry &m = obs::metrics(); m.enabled()) {
-        m.count("fa3c.rmsprop", "update_waves", 1);
-        m.count("fa3c.rmsprop", "words", theta.size());
-        m.count("fa3c.rmsprop", "dram_words",
-                loadWords(theta.size()) + storeWords(theta.size()));
-    }
     {
         sim::PerfBank &bank = sim::perf().bank("rmsprop");
         static auto &waves = bank.counter("update_waves");

@@ -1,6 +1,5 @@
 #include "fa3c/tlu.hh"
 
-#include "obs/metrics.hh"
 #include "sim/logging.hh"
 #include "sim/perf_counters.hh"
 
@@ -98,11 +97,6 @@ loadBwViaTlu(const nn::ConvSpec &spec, std::span<const float> packed)
     const auto words = patches *
                        static_cast<std::uint64_t>(patchWords) *
                        static_cast<std::uint64_t>(patchWords);
-    if (obs::MetricsRegistry &m = obs::metrics(); m.enabled()) {
-        m.count("fa3c.tlu", "layer_loads", 1);
-        m.count("fa3c.tlu", "patches", patches);
-        m.count("fa3c.tlu", "words", words);
-    }
     {
         sim::PerfBank &bank = sim::perf().bank("tlu");
         static auto &loads = bank.counter("layer_loads");
