@@ -105,7 +105,6 @@ EventLoopServer::EventLoopServer(ReplicaRouter &router,
               return running_.load(std::memory_order_relaxed);
           })
 {
-    wantNumel_ = obsScratch_.numel();
 }
 
 EventLoopServer::~EventLoopServer()
@@ -367,7 +366,7 @@ EventLoopServer::parseFrames(Conn &c)
             closeConn(c.id);
             return false;
         }
-        if (h.numel != wantNumel_) {
+        if (h.numel != obsScratch_.numel()) {
             // Wrong geometry (or absurd size): discard the payload
             // without ever buffering it, answer RejectedBadRequest.
             c.in.consume(wire::kRequestHeaderBytes);
@@ -377,7 +376,7 @@ EventLoopServer::parseFrames(Conn &c)
             c.drainTag = h.tag;
             continue;
         }
-        const std::size_t payload = wantNumel_ * sizeof(float);
+        const std::size_t payload = obsScratch_.numel() * sizeof(float);
         if (avail < wire::kRequestHeaderBytes + payload)
             break; // frame split across reads; wait for the rest
         c.in.consume(wire::kRequestHeaderBytes);

@@ -178,8 +178,9 @@ class EventLoopServer
 
     ReplicaRouter &router_;
     EventLoopConfig cfg_;
-    std::size_t wantNumel_ = 0;
-    tensor::Tensor obsScratch_; ///< loop-thread-only staging tensor
+    /** Loop-thread-only staging tensor; its size is the one request
+     * payload the network accepts. */
+    tensor::Tensor obsScratch_;
 
     int epollFd_ = -1;
     int listenFd_ = -1;

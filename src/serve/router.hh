@@ -3,7 +3,8 @@
  * The replica router: N PolicyServer replicas (each with its own
  * RequestQueue and BatchScheduler worker pool) behind one submit
  * surface, plus the fleet-wide controls a single replica cannot
- * provide:
+ * provide. It is what the epoll front-end (serve/event_loop.hh)
+ * fronts, with one replica or many:
  *
  *  - **Routing**: least-loaded (min queue depth, rotating tiebreak).
  *    A replica keeps no per-session state, so there is nothing for
@@ -22,9 +23,7 @@
  *    gap — each replica keeps answering from its previous snapshot
  *    until the atomic registry swap.
  *
- * All knobs live in FleetConfig/ShedConfig as plain data, so a
- * config-search layer (ROADMAP item 4) can sweep them without code
- * changes.
+ * All knobs live in FleetConfig/ShedConfig as plain data.
  */
 
 #ifndef FA3C_SERVE_ROUTER_HH
