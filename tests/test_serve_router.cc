@@ -1,14 +1,16 @@
 /**
  * @file
  * ReplicaRouter tests: least-loaded spread, fleet-wide shedding with
- * retry_after_us hints, and the coordinated hot-swap barrier (zero
+ * retry_after_us hints, the coordinated hot-swap barrier (zero
  * failed requests under publish churn, every replica answering with
- * the published version).
+ * the published version), and the one completion channel: every
+ * terminal status reaches a submitAsync handler exactly once.
  */
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -103,6 +105,50 @@ class SlowBackend : public rl::DnnBackend
     std::unique_ptr<rl::DnnBackend> inner_;
     std::chrono::microseconds delay_;
 };
+
+/** One submitAsync completion: how often its handler ran, and the
+ * response of the first run. */
+struct Delivery
+{
+    std::atomic<int> calls{0};
+    std::promise<Response> first;
+    std::future<Response> response = first.get_future();
+
+    static std::function<void(Response &&)>
+    handler(const std::shared_ptr<Delivery> &d)
+    {
+        return [d](Response &&r) {
+            if (d->calls.fetch_add(1) == 0)
+                d->first.set_value(std::move(r));
+        };
+    }
+};
+
+/** @p d's handler already ran (before submitAsync returned) with
+ * @p want. */
+void
+expectCompletedInline(Delivery &d, Status want)
+{
+    ASSERT_EQ(d.calls.load(), 1) << "handler did not run inline";
+    EXPECT_EQ(d.response.get().status, want);
+}
+
+/** @p d's handler runs with @p want within 10 s. */
+void
+expectCompletes(Delivery &d, Status want)
+{
+    ASSERT_EQ(d.response.wait_for(10s), std::future_status::ready);
+    EXPECT_EQ(d.response.get().status, want);
+}
+
+/** Block until @p server's worker has taken every queued request. */
+void
+waitForEmptyQueue(const PolicyServer &server)
+{
+    for (int i = 0; i < 10000 && server.queueDepth() != 0; ++i)
+        std::this_thread::sleep_for(100us);
+    ASSERT_EQ(server.queueDepth(), 0u);
+}
 
 } // namespace
 
@@ -310,4 +356,90 @@ TEST(ServeRouter, SubmitAsyncDeliversCompletion)
     EXPECT_EQ(r.status, Status::Ok);
     EXPECT_EQ(r.modelVersion, 1u);
     router.stop();
+}
+
+TEST(ServeRouter, SubmitAsyncCompletesEveryStatusExactlyOnce)
+{
+    Fixture f;
+    const tensor::Tensor obs = f.observation(0.5f);
+    const tensor::Tensor bad(tensor::Shape({7}));
+    // Long enough that the queue holds still while the test congests
+    // it: one batch keeps the only worker busy for 100 ms.
+    const auto slow = [&f](int) {
+        return std::make_unique<SlowBackend>(f.net, 100ms);
+    };
+
+    // Every status a PolicyServer produces, through the replica's own
+    // submitAsync and through the router's, which forwards everything
+    // while router shedding is off.
+    for (const bool via_router : {false, true}) {
+        SCOPED_TRACE(via_router ? "ReplicaRouter::submitAsync"
+                                : "PolicyServer::submitAsync");
+        FleetConfig cfg = f.fleet(1);
+        cfg.replica.queue.maxDepth = 1;
+        cfg.shed.depthFraction = 1.0;
+        ReplicaRouter router(f.net, cfg, slow);
+        PolicyServer &server = router.replica(0);
+        std::vector<std::shared_ptr<Delivery>> all;
+        const auto submit = [&](const tensor::Tensor &o,
+                                std::chrono::microseconds budget) {
+            auto d = all.emplace_back(std::make_shared<Delivery>());
+            if (via_router)
+                router.submitAsync(o, budget, {}, Delivery::handler(d));
+            else
+                server.submitAsync(o, budget, {}, Delivery::handler(d));
+            return d;
+        };
+
+        expectCompletedInline(*submit(obs, 0us), Status::RejectedNoModel);
+        router.publish(f.params);
+        expectCompletedInline(*submit(bad, 0us),
+                              Status::RejectedBadRequest);
+        router.start();
+
+        // The worker takes the first request and is busy for 100 ms.
+        // The second is admitted with no service estimate yet and
+        // expires behind it; the third finds the queue full.
+        const auto served = submit(obs, 0us);
+        waitForEmptyQueue(server);
+        const auto expires = submit(obs, 5ms);
+        expectCompletedInline(*submit(obs, 0us),
+                              Status::RejectedQueueFull);
+        expectCompletes(*served, Status::Ok);
+        expectCompletes(*expires, Status::TimedOut);
+
+        // The worker has now measured a 100 ms batch, so a 1 us budget
+        // is infeasible at admission.
+        expectCompletedInline(*submit(obs, 1us),
+                              Status::RejectedDeadline);
+        router.stop();
+        expectCompletedInline(*submit(obs, 0us), Status::RejectedClosed);
+
+        for (const auto &d : all)
+            EXPECT_EQ(d->calls.load(), 1);
+    }
+
+    // RejectedShed comes only from the router: with a zero depth
+    // threshold, one queued request sheds the next.
+    FleetConfig cfg = f.fleet(1);
+    cfg.replica.queue.maxDepth = 4;
+    cfg.shed.depthFraction = 0.1;
+    ReplicaRouter router(f.net, cfg, slow);
+    router.publish(f.params);
+    router.start();
+    std::vector<std::shared_ptr<Delivery>> all;
+    const auto submit = [&] {
+        auto d = all.emplace_back(std::make_shared<Delivery>());
+        router.submitAsync(obs, 0us, {}, Delivery::handler(d));
+        return d;
+    };
+    const auto running = submit();
+    waitForEmptyQueue(router.replica(0));
+    const auto queued = submit();
+    expectCompletedInline(*submit(), Status::RejectedShed);
+    expectCompletes(*running, Status::Ok);
+    expectCompletes(*queued, Status::Ok);
+    router.stop();
+    for (const auto &d : all)
+        EXPECT_EQ(d->calls.load(), 1);
 }
