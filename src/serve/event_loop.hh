@@ -17,10 +17,10 @@
  *  - **Submit** hands the observation to ReplicaRouter::submitAsync()
  *    (a one-replica router fronts a single PolicyServer); the
  *    completion callback posts the response onto an eventfd-backed
- *    completion bus that wakes the loop. Responses flush strictly in request order per
- *    connection (slots fill out of order, drain from the head), so
- *    pipelined clients can match responses positionally as well as
- *    by tag.
+ *    completion bus that wakes the loop. Responses flush strictly in
+ *    request order per connection (slots fill out of order, drain
+ *    from the head), so pipelined clients can match responses
+ *    positionally as well as by tag.
  *  - **Write side** buffers what the socket won't take and arms
  *    EPOLLOUT until drained. A slow reader only throttles itself:
  *    past writeBufferCap buffered bytes its EPOLLIN is parked (no new

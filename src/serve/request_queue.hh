@@ -12,9 +12,8 @@
  *
  * Pop order is earliest-deadline-first: requests without a deadline
  * sort last, and equal deadlines pop in arrival order. popBatch() is
- * work-conserving: it never holds a request
- * back to wait for company, so a batch holds whatever queued up while
- * the worker was busy.
+ * work-conserving: it never holds a request back to wait for company,
+ * so a batch holds whatever queued up while the worker was busy.
  */
 
 #ifndef FA3C_SERVE_REQUEST_QUEUE_HH

@@ -10,9 +10,9 @@
  * replica; the load-generator bench also drives one directly.
  *
  * Lifecycle: construct -> publish() at least once -> start() ->
- * submitAsync() / submit()... -> stop(). Submissions before the first publish are
- * rejected with RejectedNoModel; submissions after stop() with
- * RejectedClosed.
+ * submitAsync() / submit()... -> stop(). Submissions before the first
+ * publish are rejected with RejectedNoModel; submissions after stop()
+ * with RejectedClosed.
  */
 
 #ifndef FA3C_SERVE_SERVER_HH
