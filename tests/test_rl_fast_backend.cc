@@ -457,6 +457,77 @@ TEST(FastCpuBackend, Ga3cTrainsWithConfigSelectedBackend)
               0.0f);
 }
 
+namespace {
+
+/** A trainer's step count and FNV-1a hashes of its theta and g. */
+struct TrajectoryPin
+{
+    std::uint64_t steps;
+    std::uint64_t theta;
+    std::uint64_t g;
+};
+
+TrajectoryPin
+pinOf(const nn::A3cNetwork &net, GlobalParams &global)
+{
+    nn::ParamSet theta = net.makeParams();
+    nn::ParamSet g = net.makeParams();
+    TrajectoryPin pin{};
+    std::uint64_t version = 0;
+    global.checkpoint(theta, g, pin.steps, version);
+    pin.theta = hashWords(theta.flat());
+    pin.g = hashWords(g.flat());
+    return pin;
+}
+
+} // namespace
+
+TEST(FastCpuBackend, PaacRunMatchesRecordedTrajectory)
+{
+    // Pins a whole FastCpu PAAC run (lock-step batched forward,
+    // bootstrap forwards, per-sample backward, averaged update) word
+    // for word; every kernel ISA tier must match too.
+    const nn::NetConfig net_cfg = nn::NetConfig::tiny(3);
+    nn::A3cNetwork net(net_cfg);
+    PaacConfig cfg;
+    cfg.numEnvs = 4;
+    cfg.totalSteps = 400;
+    cfg.seed = 37;
+    cfg.lrAnnealSteps = 0;
+    cfg.backend = BackendKind::FastCpu;
+    PaacTrainer trainer(net, cfg, /*backend_factory=*/{},
+                        pongSessions(net_cfg, 61));
+    trainer.run();
+    const TrajectoryPin got = pinOf(net, trainer.globalParams());
+    EXPECT_EQ(got.steps, 416u);
+    EXPECT_EQ(got.theta, 0x7599794955f2283dull);
+    EXPECT_EQ(got.g, 0x45f29c15a30b1127ull);
+}
+
+TEST(FastCpuBackend, Ga3cRunMatchesRecordedTrajectory)
+{
+    // Pins a whole FastCpu GA3C run (batched predictor forward under a
+    // stale snapshot, trainer forwards and backward under the current
+    // theta) word for word; every kernel ISA tier must match too.
+    const nn::NetConfig net_cfg = nn::NetConfig::tiny(3);
+    nn::A3cNetwork net(net_cfg);
+    Ga3cConfig cfg;
+    cfg.numEnvs = 4;
+    cfg.trainingBatch = 2;
+    cfg.predictorRefreshUpdates = 2;
+    cfg.totalSteps = 400;
+    cfg.seed = 41;
+    cfg.lrAnnealSteps = 0;
+    cfg.backend = BackendKind::FastCpu;
+    Ga3cTrainer trainer(net, cfg, /*backend_factory=*/{},
+                        pongSessions(net_cfg, 67));
+    trainer.run();
+    const TrajectoryPin got = pinOf(net, trainer.globalParams());
+    EXPECT_EQ(got.steps, 400u);
+    EXPECT_EQ(got.theta, 0x2a7ff81b14b1335eull);
+    EXPECT_EQ(got.g, 0x618c0b7204333be7ull);
+}
+
 TEST(FastCpuBackend, PaacDeterministicAndCheckpointRoundTrip)
 {
     // Fast-backend PAAC must stay deterministic, and a checkpoint
