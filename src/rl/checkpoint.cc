@@ -3,14 +3,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <utility>
 
-#include "nn/serialize.hh"
 #include "obs/metrics.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
@@ -22,9 +17,10 @@ namespace {
 
 constexpr std::uint32_t checkpointMagic = 0xFA3CC4B7;
 
-/** Refuse to stage images larger than this (a corrupt size field must
- * not drive a multi-gigabyte allocation). */
-constexpr std::uint32_t maxPayloadBytes = 1u << 30;
+/** Refuse files whose payload would exceed this, before reading them
+ * (a corrupt or hostile file must not drive a multi-gigabyte
+ * allocation). */
+constexpr std::uint64_t maxPayloadBytes = 1u << 30;
 
 struct ImageHeader
 {
@@ -46,8 +42,19 @@ checkpointToImage(const TrainingCheckpoint &ckpt)
     payload.write(ckpt.trainerRng);
     payload.write(
         static_cast<std::uint8_t>(ckpt.hasAgentState ? 1 : 0));
-    payload.writeBlob(nn::paramsToImage(ckpt.theta));
-    payload.writeBlob(nn::paramsToImage(ckpt.rmspropG));
+
+    // theta and g share one layout, so one table describes both.
+    FA3C_ASSERT(ckpt.theta.sameLayout(ckpt.rmspropG),
+                "checkpoint theta and g layouts differ");
+    payload.write(
+        static_cast<std::uint32_t>(ckpt.theta.segments().size()));
+    for (const auto &seg : ckpt.theta.segments()) {
+        payload.writeBlob(seg.name);
+        payload.write(static_cast<std::uint32_t>(seg.count));
+    }
+    payload.writeRaw(ckpt.theta.flat().data(), ckpt.theta.sizeBytes());
+    payload.writeRaw(ckpt.rmspropG.flat().data(),
+                     ckpt.rmspropG.sizeBytes());
 
     payload.write(
         static_cast<std::uint32_t>(ckpt.agentStates.size()));
@@ -88,27 +95,37 @@ checkpointFromImage(TrainingCheckpoint &ckpt, std::string_view image)
                    header.payloadSize) != header.payloadCrc)
         return false;
 
+    if (!ckpt.theta.sameLayout(ckpt.rmspropG))
+        return false;
     TrainingCheckpoint staged;
     staged.theta = ckpt.theta;       // adopt the destination layouts
     staged.rmspropG = ckpt.rmspropG; // (values overwritten below)
 
     std::uint8_t has_agent_state = 0;
-    std::string theta_image, g_image;
+    std::uint32_t count = 0;
     if (!reader.readBlob(staged.algorithm) ||
         !reader.read(staged.globalSteps) ||
         !reader.read(staged.updates) ||
         !reader.read(staged.refreshes) ||
         !reader.read(staged.updatesSinceRefresh) ||
         !reader.read(staged.trainerRng) ||
-        !reader.read(has_agent_state) ||
-        !reader.readBlob(theta_image) || !reader.readBlob(g_image))
+        !reader.read(has_agent_state) || !reader.read(count) ||
+        count != staged.theta.segments().size())
         return false;
     staged.hasAgentState = has_agent_state != 0;
-    if (!nn::paramsFromImage(staged.theta, theta_image) ||
-        !nn::paramsFromImage(staged.rmspropG, g_image))
+    for (const auto &seg : staged.theta.segments()) {
+        std::string name;
+        std::uint32_t words = 0;
+        if (!reader.readBlob(name) || name != seg.name ||
+            !reader.read(words) || words != seg.count)
+            return false;
+    }
+    if (!reader.readRaw(staged.theta.flat().data(),
+                        staged.theta.sizeBytes()) ||
+        !reader.readRaw(staged.rmspropG.flat().data(),
+                        staged.rmspropG.sizeBytes()))
         return false;
 
-    std::uint32_t count = 0;
     if (!reader.read(count) || count > reader.remaining())
         return false;
     staged.agentStates.resize(count);
@@ -151,33 +168,6 @@ checkpointSignalHandler(int)
 }
 
 } // namespace
-
-bool
-saveCheckpoint(const TrainingCheckpoint &ckpt, std::ostream &os)
-{
-    const std::string image = checkpointToImage(ckpt);
-    os.write(image.data(), static_cast<std::streamsize>(image.size()));
-    return static_cast<bool>(os);
-}
-
-bool
-loadCheckpoint(TrainingCheckpoint &ckpt, std::istream &is)
-{
-    ImageHeader header{};
-    std::string image(sizeof(ImageHeader), '\0');
-    is.read(image.data(), sizeof(ImageHeader));
-    if (!is)
-        return false;
-    std::memcpy(&header, image.data(), sizeof(ImageHeader));
-    if (header.magic != checkpointMagic ||
-        header.payloadSize > maxPayloadBytes)
-        return false;
-    image.resize(sizeof(ImageHeader) + header.payloadSize);
-    is.read(image.data() + sizeof(ImageHeader), header.payloadSize);
-    if (!is)
-        return false;
-    return checkpointFromImage(ckpt, image);
-}
 
 bool
 saveCheckpointToFile(const TrainingCheckpoint &ckpt,
@@ -227,21 +217,29 @@ bool
 loadCheckpointFromFile(TrainingCheckpoint &ckpt,
                        const std::string &path)
 {
-    std::string image;
-    {
-        std::ifstream is(path, std::ios::binary);
-        if (!is) {
-            countCheckpointMetric("load_failures");
-            return false;
-        }
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        image = std::move(buf).str();
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
+    if (!is) {
+        countCheckpointMetric("load_failures");
+        return false;
     }
-    fault::maybeCorrupt(image);
-    if (!checkpointFromImage(ckpt, image)) {
+    // Size the read from the file, and refuse a file larger than any
+    // valid image before allocating for it.
+    const std::streamoff size = is.tellg();
+    std::string image;
+    bool ok = size >= 0 && static_cast<std::uint64_t>(size) <=
+                               sizeof(ImageHeader) + maxPayloadBytes;
+    if (ok) {
+        image.resize(static_cast<std::size_t>(size));
+        is.seekg(0);
+        ok = static_cast<bool>(is.read(image.data(), size));
+    }
+    if (ok) {
+        fault::maybeCorrupt(image);
+        ok = checkpointFromImage(ckpt, image);
+    }
+    if (!ok) {
         FA3C_WARN("checkpoint: rejected corrupt or mismatched image ",
-                  path, " (", image.size(), " bytes)");
+                  path, " (", size, " bytes)");
         countCheckpointMetric("load_failures");
         return false;
     }

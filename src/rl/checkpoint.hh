@@ -11,10 +11,19 @@
  * file + rename), so a crash at any instant leaves either the old
  * checkpoint or the new one — never a torn file.
  *
+ * The image is a 16-byte header (magic, version, payload size, payload
+ * CRC32) and one payload: the algorithm name, the step, update and
+ * refresh counters, the trainer rng, the agent-state flag, then one
+ * segment table (u32 count; each segment's name blob and u32 word
+ * count) shared by theta and g, theta's raw words, g's raw words, the
+ * agent-state blobs and the score-log tail. theta and g are stored
+ * once each, as the paper's DRAM holds them.
+ *
  * Loading is staged: the image is read and validated in full (CRC,
- * version, section structure) before any destination object is
- * touched, so a truncated or bit-flipped checkpoint is rejected with
- * the caller's in-memory state intact.
+ * version, segment table against the destination layout, section
+ * structure) before any destination object is touched, so a
+ * truncated, bit-flipped or mismatched checkpoint is rejected with the
+ * caller's in-memory state intact.
  *
  * File writes and loads run through the fa3c::fault hooks
  * (checkpoint-write failure, bit-flip on load) and export
@@ -26,7 +35,6 @@
 #define FA3C_RL_CHECKPOINT_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -36,8 +44,9 @@
 
 namespace fa3c::rl {
 
-/** Current checkpoint image version. */
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/** Current checkpoint image version (2: theta and g stored as raw
+ * words after one shared segment table). */
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** Episodes retained in a checkpoint's score-log tail (the paper's
  * Figure 12 smooths over 1,000 episodes, so resume keeps the moving
@@ -49,7 +58,7 @@ inline constexpr std::size_t kScoreTailMax = 1000;
  *
  * The two parameter sets must be shaped by the caller (via
  * A3cNetwork::makeParams()) before loading; their layout is validated
- * against the stored segment tables.
+ * against the stored segment table.
  */
 struct TrainingCheckpoint
 {
@@ -83,18 +92,6 @@ struct TrainingCheckpoint
     std::vector<EpisodeRecord> scoreTail;
 };
 
-/** Serialize @p ckpt to @p os. @return false on stream failure. */
-bool saveCheckpoint(const TrainingCheckpoint &ckpt, std::ostream &os);
-
-/**
- * Read a checkpoint into @p ckpt, whose theta/rmspropG must already
- * have the network's layout.
- *
- * @return false — with @p ckpt untouched — when the stream fails, the
- *         CRC does not match, or the stored parameter layout differs.
- */
-bool loadCheckpoint(TrainingCheckpoint &ckpt, std::istream &is);
-
 /**
  * Write @p ckpt to @p path atomically and export save metrics.
  * Honors the CheckpointWrite fault hook (the write then fails before
@@ -103,8 +100,16 @@ bool loadCheckpoint(TrainingCheckpoint &ckpt, std::istream &is);
 bool saveCheckpointToFile(const TrainingCheckpoint &ckpt,
                           const std::string &path);
 
-/** Read @p path (honoring the CheckpointBitflip fault hook) and
- * validate-then-commit into @p ckpt. */
+/**
+ * Read @p path (honoring the CheckpointBitflip fault hook) and
+ * validate-then-commit into @p ckpt, whose theta/rmspropG must already
+ * have the network's layout.
+ *
+ * @return false — with @p ckpt untouched — when the file is missing,
+ *         larger than the 1 GiB payload bound plus header (refused
+ *         before it is read), fails the CRC, has another version, or
+ *         stores a different parameter layout.
+ */
 bool loadCheckpointFromFile(TrainingCheckpoint &ckpt,
                             const std::string &path);
 

@@ -1,13 +1,18 @@
 /** @file
  * Tests of crash-safe training checkpoints: image round trips,
  * bit-exact synchronous resume, corruption rejection with the
- * in-memory state intact, fault injection, and the per-trainer
- * checkpoint/restore wiring.
+ * in-memory state intact, the bounded file read, fault injection, and
+ * the per-trainer checkpoint/restore wiring.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -77,6 +82,83 @@ shapedCheckpoint(const nn::A3cNetwork &net)
     return ckpt;
 }
 
+/** True when @p a and @p b hold the same layout and the same bits. */
+bool
+sameWords(const nn::ParamSet &a, const nn::ParamSet &b)
+{
+    return a.sameLayout(b) &&
+           std::memcmp(a.flat().data(), b.flat().data(),
+                       a.sizeBytes()) == 0;
+}
+
+/** True when every field of @p a equals @p b's, parameters bit for
+ * bit. */
+bool
+sameCheckpoint(const TrainingCheckpoint &a, const TrainingCheckpoint &b)
+{
+    const auto same_record = [](const EpisodeRecord &x,
+                                const EpisodeRecord &y) {
+        return x.globalStep == y.globalStep && x.score == y.score &&
+               x.agentId == y.agentId;
+    };
+    return a.algorithm == b.algorithm && sameWords(a.theta, b.theta) &&
+           sameWords(a.rmspropG, b.rmspropG) &&
+           a.globalSteps == b.globalSteps && a.updates == b.updates &&
+           a.refreshes == b.refreshes &&
+           a.updatesSinceRefresh == b.updatesSinceRefresh &&
+           std::memcmp(&a.trainerRng, &b.trainerRng,
+                       sizeof(a.trainerRng)) == 0 &&
+           a.hasAgentState == b.hasAgentState &&
+           a.agentStates == b.agentStates &&
+           std::ranges::equal(a.scoreTail, b.scoreTail, same_record);
+}
+
+/** A checkpoint with every field set, parameters from @p seed. */
+TrainingCheckpoint
+filledCheckpoint(const nn::A3cNetwork &net, std::uint64_t seed)
+{
+    sim::Rng rng(seed);
+    TrainingCheckpoint ckpt = shapedCheckpoint(net);
+    ckpt.algorithm = "a3c";
+    net.initParams(ckpt.theta, rng);
+    net.initParams(ckpt.rmspropG, rng);
+    ckpt.globalSteps = 12345 + seed;
+    ckpt.updates = 7;
+    ckpt.refreshes = 3;
+    ckpt.updatesSinceRefresh = 2;
+    ckpt.trainerRng = sim::Rng(seed * 11).state();
+    ckpt.hasAgentState = true;
+    ckpt.agentStates = {"agent-zero-state", "agent-one-state"};
+    ckpt.scoreTail = {{100, 1.5, 0}, {220, -2.0, 1}};
+    return ckpt;
+}
+
+/** Read a whole checkpoint file into a byte string. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    return std::move(buf).str();
+}
+
+void
+spill(const std::string &path, const std::string &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** This process's peak resident set so far, in KiB. */
+long
+peakRssKb()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
 } // namespace
 
 TEST(Fault, FiresExactlyOnTheArmedHit)
@@ -107,35 +189,20 @@ TEST(Fault, MaybeCorruptFlipsExactlyOneArmedBit)
     fault::reset();
 }
 
-TEST(Checkpoint, StreamRoundTripPreservesEverything)
+TEST(Checkpoint, FileRoundTripPreservesEverything)
 {
     nn::A3cNetwork net(nn::NetConfig::tiny(3));
-    sim::Rng rng(3);
-    TrainingCheckpoint original = shapedCheckpoint(net);
-    original.algorithm = "a3c";
-    net.initParams(original.theta, rng);
-    net.initParams(original.rmspropG, rng);
-    original.globalSteps = 12345;
-    original.updates = 7;
-    original.refreshes = 3;
-    original.updatesSinceRefresh = 2;
-    original.trainerRng = sim::Rng(99).state();
-    original.hasAgentState = true;
-    original.agentStates = {"agent-zero-state", "agent-one-state"};
-    original.scoreTail = {{100, 1.5, 0}, {220, -2.0, 1}};
+    const TrainingCheckpoint original = filledCheckpoint(net, 3);
 
-    std::stringstream stream;
-    ASSERT_TRUE(saveCheckpoint(original, stream));
+    TempFile file("fa3c_test_ckpt_roundtrip.bin");
+    ASSERT_TRUE(saveCheckpointToFile(original, file.path));
 
     TrainingCheckpoint restored = shapedCheckpoint(net);
-    ASSERT_TRUE(loadCheckpoint(restored, stream));
+    ASSERT_TRUE(loadCheckpointFromFile(restored, file.path));
+    EXPECT_TRUE(sameWords(original.theta, restored.theta));
+    EXPECT_TRUE(sameWords(original.rmspropG, restored.rmspropG));
     EXPECT_EQ(restored.algorithm, "a3c");
-    EXPECT_FLOAT_EQ(
-        nn::ParamSet::maxAbsDiff(original.theta, restored.theta), 0.0f);
-    EXPECT_FLOAT_EQ(nn::ParamSet::maxAbsDiff(original.rmspropG,
-                                             restored.rmspropG),
-                    0.0f);
-    EXPECT_EQ(restored.globalSteps, 12345u);
+    EXPECT_EQ(restored.globalSteps, 12348u);
     EXPECT_EQ(restored.updates, 7u);
     EXPECT_EQ(restored.refreshes, 3u);
     EXPECT_EQ(restored.updatesSinceRefresh, 2u);
@@ -145,91 +212,116 @@ TEST(Checkpoint, StreamRoundTripPreservesEverything)
     EXPECT_EQ(restored.scoreTail[0].globalStep, 100u);
     EXPECT_DOUBLE_EQ(restored.scoreTail[1].score, -2.0);
     EXPECT_EQ(restored.scoreTail[1].agentId, 1);
+    EXPECT_TRUE(sameCheckpoint(original, restored));
     // The trainer rng stream continues identically.
     sim::Rng a(1), b(1);
     a.setState(original.trainerRng);
     b.setState(restored.trainerRng);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(a.next(), b.next());
+
+    // theta and g are stored once each, after one segment table: the
+    // file is the 16-byte header, the fixed fields, the table, both
+    // word arrays, and the agent-state and score sections.
+    std::size_t bytes = 16 + 4 + original.algorithm.size() +
+                        4 * sizeof(std::uint64_t) +
+                        sizeof(sim::RngState) + 1 + 4;
+    for (const auto &seg : original.theta.segments())
+        bytes += 4 + seg.name.size() + 4;
+    bytes += 2 * original.theta.sizeBytes() + 4;
+    for (const std::string &blob : original.agentStates)
+        bytes += 4 + blob.size();
+    bytes += 4 + original.scoreTail.size() *
+                     (sizeof(std::uint64_t) + sizeof(double) + 4);
+    EXPECT_EQ(slurp(file.path).size(), bytes);
 }
 
 TEST(Checkpoint, CorruptImageRejectedWithStateIntact)
 {
     nn::A3cNetwork net(nn::NetConfig::tiny(3));
-    sim::Rng rng(5);
-    TrainingCheckpoint ckpt = shapedCheckpoint(net);
-    ckpt.algorithm = "a3c";
-    net.initParams(ckpt.theta, rng);
-    ckpt.globalSteps = 999;
-    ckpt.scoreTail = {{10, 4.0, 0}};
-
     TempFile file("fa3c_test_ckpt_corrupt.bin");
-    ASSERT_TRUE(saveCheckpointToFile(ckpt, file.path));
-    std::string image;
-    {
-        std::ifstream is(file.path, std::ios::binary);
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        image = std::move(buf).str();
-    }
+    ASSERT_TRUE(saveCheckpointToFile(filledCheckpoint(net, 5), file.path));
+    const std::string image = slurp(file.path);
 
-    // Flip one bit at a spread of offsets (header, early payload,
-    // middle, tail); every corruption must be rejected, and the
-    // destination left exactly as it was.
-    const std::size_t offsets[] = {0, 5, 13, 17, 64, image.size() / 2,
-                                   image.size() - 1};
-    for (std::size_t off : offsets) {
+    // A sentinel destination that must come through every failed load
+    // completely untouched: theta, g and every other field.
+    TrainingCheckpoint pristine = filledCheckpoint(net, 17);
+    pristine.algorithm = "sentinel";
+
+    const auto expect_rejected = [&](const std::string &bytes,
+                                     const char *what, std::size_t at) {
+        spill(file.path, bytes);
+        TrainingCheckpoint dst = pristine;
+        EXPECT_FALSE(loadCheckpointFromFile(dst, file.path))
+            << what << " " << at;
+        EXPECT_TRUE(sameCheckpoint(dst, pristine)) << what << " " << at;
+    };
+
+    // Flip one bit at 97 spread offsets across the header, the fixed
+    // fields, the segment table, theta, g and the tail sections, plus
+    // the last byte.
+    const std::size_t flip_stride =
+        std::max<std::size_t>(std::size_t{1}, image.size() / 97);
+    for (std::size_t off = 0; off < image.size(); off += flip_stride) {
         std::string corrupt = image;
-        corrupt[off] ^= 0x10;
-        {
-            std::ofstream os(file.path,
-                             std::ios::binary | std::ios::trunc);
-            os.write(corrupt.data(),
-                     static_cast<std::streamsize>(corrupt.size()));
-        }
-        TrainingCheckpoint dst = shapedCheckpoint(net);
-        dst.algorithm = "sentinel";
-        dst.globalSteps = 42;
-        dst.theta.flat()[0] = 123.0f;
-        EXPECT_FALSE(loadCheckpointFromFile(dst, file.path))
-            << "offset " << off;
-        EXPECT_EQ(dst.algorithm, "sentinel") << "offset " << off;
-        EXPECT_EQ(dst.globalSteps, 42u) << "offset " << off;
-        EXPECT_FLOAT_EQ(dst.theta.flat()[0], 123.0f)
-            << "offset " << off;
+        corrupt[off] ^= 0x04;
+        expect_rejected(corrupt, "offset", off);
     }
+    std::string last = image;
+    last.back() ^= 0x10;
+    expect_rejected(last, "offset", image.size() - 1);
 
-    // Truncations are rejected too.
-    for (std::size_t keep : {std::size_t{0}, std::size_t{3},
-                             std::size_t{15}, image.size() / 2,
-                             image.size() - 1}) {
-        std::ofstream os(file.path, std::ios::binary | std::ios::trunc);
-        os.write(image.data(), static_cast<std::streamsize>(keep));
-        os.close();
-        TrainingCheckpoint dst = shapedCheckpoint(net);
-        EXPECT_FALSE(loadCheckpointFromFile(dst, file.path))
-            << "truncated to " << keep;
-    }
+    // Truncate at 31 spread lengths, plus one byte short.
+    const std::size_t cut_stride =
+        std::max<std::size_t>(std::size_t{1}, image.size() / 31);
+    for (std::size_t keep = 0; keep < image.size(); keep += cut_stride)
+        expect_rejected(image.substr(0, keep), "kept", keep);
+    expect_rejected(image.substr(0, image.size() - 1), "kept",
+                    image.size() - 1);
+}
+
+TEST(Checkpoint, UnloadableFilesLeaveDestinationUntouched)
+{
+    nn::A3cNetwork net(nn::NetConfig::tiny(3));
+    TrainingCheckpoint pristine = filledCheckpoint(net, 23);
+    pristine.algorithm = "sentinel";
+    const auto expect_refused = [&](const std::string &path,
+                                    const char *what) {
+        TrainingCheckpoint dst = pristine;
+        EXPECT_FALSE(loadCheckpointFromFile(dst, path)) << what;
+        EXPECT_TRUE(sameCheckpoint(dst, pristine)) << what;
+    };
+
+    // A path that does not exist.
+    TempFile missing("fa3c_test_ckpt_missing.bin");
+    expect_refused(missing.path, "missing file");
+
+    // A sparse file one byte larger than any valid image, whose header
+    // claims that much payload: refused from its size, before the
+    // loader allocates for or reads it.
+    TempFile huge("fa3c_test_ckpt_huge.bin");
+    ASSERT_TRUE(saveCheckpointToFile(pristine, huge.path));
+    std::string header = slurp(huge.path).substr(0, 16);
+    constexpr std::uint32_t over = (1u << 30) + 1;
+    std::memcpy(header.data() + 8, &over, sizeof(over));
+    spill(huge.path, header);
+    std::filesystem::resize_file(huge.path, 16 + std::uintmax_t{over});
+    const long rss_before = peakRssKb();
+    expect_refused(huge.path, "file over the bound");
+    EXPECT_LT(peakRssKb() - rss_before, 256 * 1024)
+        << "the oversized file was read into memory";
+
+    // A valid checkpoint of another layout (4 actions into 3).
+    nn::A3cNetwork wider(nn::NetConfig::tiny(4));
+    TempFile other("fa3c_test_ckpt_layout.bin");
+    ASSERT_TRUE(saveCheckpointToFile(filledCheckpoint(wider, 29),
+                                     other.path));
+    TrainingCheckpoint probe = shapedCheckpoint(wider);
+    ASSERT_TRUE(loadCheckpointFromFile(probe, other.path));
+    expect_refused(other.path, "layout mismatch");
 }
 
 namespace {
-
-/** Read a whole checkpoint file into a byte string. */
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return std::move(buf).str();
-}
-
-void
-spill(const std::string &path, const std::string &bytes)
-{
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 /** A small valid on-disk checkpoint to mutilate. */
 std::string
@@ -298,11 +390,6 @@ TEST(Checkpoint, TruncatedPayloadWithValidHeaderRejected)
 
     TrainingCheckpoint dst = shapedCheckpoint(net);
     EXPECT_FALSE(loadCheckpointFromFile(dst, file.path));
-
-    // The stream loader must reject it the same way.
-    std::ifstream is(file.path, std::ios::binary);
-    TrainingCheckpoint dst2 = shapedCheckpoint(net);
-    EXPECT_FALSE(loadCheckpoint(dst2, is));
 }
 
 TEST(Checkpoint, WriteFaultLeavesPreviousCheckpointValid)
