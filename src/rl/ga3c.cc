@@ -30,14 +30,14 @@ Ga3cTrainer::Ga3cTrainer(const nn::A3cNetwork &net,
     sim::Rng init_rng(cfg_.seed);
     global_.initialize(init_rng);
     global_.snapshot(thetaPredict_);
+    predictorBackend_ = backend_factory(0);
+    trainerBackend_ = backend_factory(1);
     for (int i = 0; i < cfg_.numEnvs; ++i) {
         EnvSlot slot;
-        slot.backend = backend_factory(i);
         slot.session = session_factory(i);
         envs_.push_back(std::move(slot));
         predictActs_.push_back(net.makeActivations());
     }
-    trainerBackend_ = backend_factory(cfg_.numEnvs);
 }
 
 int
@@ -56,8 +56,7 @@ void
 Ga3cTrainer::refreshPredictor()
 {
     global_.snapshot(thetaPredict_);
-    for (auto &slot : envs_)
-        slot.backend->onParamSync(thetaPredict_);
+    predictorBackend_->onParamSync(thetaPredict_);
     ++refreshes_;
     updatesSinceRefresh_ = 0;
 }
@@ -81,8 +80,8 @@ Ga3cTrainer::predictorStep()
         batch_obs.push_back(&roll.observations.back());
         batch_acts.push_back(&predictActs_[i]);
     }
-    envs_[0].backend->forwardBatch(thetaPredict_, batch_obs,
-                                   batch_acts);
+    predictorBackend_->forwardBatch(thetaPredict_, batch_obs,
+                                    batch_acts);
 
     std::uint64_t steps = 0;
     std::vector<float> probs;
@@ -244,8 +243,7 @@ Ga3cTrainer::restore(const TrainingCheckpoint &ckpt)
     for (auto &slot : envs_)
         slot.inFlight = QueuedRollout{};
     global_.snapshot(thetaPredict_);
-    for (auto &slot : envs_)
-        slot.backend->onParamSync(thetaPredict_);
+    predictorBackend_->onParamSync(thetaPredict_);
     return true;
 }
 

@@ -116,7 +116,6 @@ class Ga3cTrainer
 
     struct EnvSlot
     {
-        std::unique_ptr<DnnBackend> backend;
         std::unique_ptr<env::AtariSession> session;
         QueuedRollout inFlight;
     };
@@ -128,12 +127,13 @@ class Ga3cTrainer
     sim::Rng rng_;
     std::vector<EnvSlot> envs_;
     /**
-     * The trainer's own DNN executor (built with agent id numEnvs).
-     * GA3C's trainer and predictor are separate device streams; giving
-     * the trainer its own backend also keeps staged parameter layouts
-     * coherent — it always syncs thetaTrain_ while the env backends
-     * always hold thetaPredict_.
+     * The predictor's DNN executor (factory id 0) and the trainer's
+     * (id 1). GA3C's predictor and trainer are separate device streams
+     * holding different thetas; one backend each keeps staged
+     * parameter layouts coherent — the predictor's always holds
+     * thetaPredict_, the trainer's always thetaTrain_.
      */
+    std::unique_ptr<DnnBackend> predictorBackend_;
     std::unique_ptr<DnnBackend> trainerBackend_;
     nn::ParamSet thetaPredict_;
     nn::ParamSet thetaTrain_;

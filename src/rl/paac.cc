@@ -26,10 +26,10 @@ PaacTrainer::PaacTrainer(const nn::A3cNetwork &net,
         };
     sim::Rng init_rng(cfg_.seed);
     global_.initialize(init_rng);
+    backend_ = backend_factory(0);
     envs_.reserve(static_cast<std::size_t>(cfg_.numEnvs));
     for (int i = 0; i < cfg_.numEnvs; ++i) {
         EnvSlot slot;
-        slot.backend = backend_factory(i);
         slot.session = session_factory(i);
         for (int t = 0; t < cfg_.tMax; ++t)
             slot.rollout.push_back(net.makeActivations());
@@ -65,8 +65,7 @@ PaacTrainer::runBatch()
 
     // All environments share the single, current parameter set.
     global_.snapshot(theta_);
-    for (auto &slot : envs_)
-        slot.backend->onParamSync(theta_);
+    backend_->onParamSync(theta_);
     if (tw) {
         tw->hostCompleteEvent("RL batch", "param-sync", phase_start,
                               tw->hostNowUs());
@@ -75,8 +74,8 @@ PaacTrainer::runBatch()
 
     // Lock-step rollouts: step t of every environment before step
     // t+1 of any (this is what lets PAAC batch device work). The
-    // per-step inference goes through one backend as a single
-    // forwardBatch call — the device-level batching PAAC exists for —
+    // per-step inference is a single forwardBatch call — the
+    // device-level batching PAAC exists for —
     // and environments act only after the whole batch returns, so the
     // action-sampling rng stream matches the per-env formulation
     // exactly.
@@ -105,7 +104,7 @@ PaacTrainer::runBatch()
         }
         if (live.empty())
             break;
-        envs_[0].backend->forwardBatch(theta_, batch_obs, batch_acts);
+        backend_->forwardBatch(theta_, batch_obs, batch_acts);
         for (EnvSlot *slot_ptr : live) {
             auto &slot = *slot_ptr;
             auto &act = slot.rollout[static_cast<std::size_t>(t)];
@@ -140,8 +139,8 @@ PaacTrainer::runBatch()
     for (auto &slot : envs_) {
         float ret = 0.0f;
         if (!slot.episodeEnded && slot.rolloutLen > 0) {
-            slot.backend->forward(theta_, slot.session->observation(),
-                                  bootstrap_);
+            backend_->forward(theta_, slot.session->observation(),
+                              bootstrap_);
             ret = net_.value(bootstrap_);
         }
         for (int t = slot.rolloutLen - 1; t >= 0; --t) {
@@ -153,9 +152,9 @@ PaacTrainer::runBatch()
                            slot.values[static_cast<std::size_t>(t)],
                            cfg_.entropyBeta, cfg_.valueGradScale,
                            g_out.data());
-            slot.backend->backward(
-                theta_, slot.rollout[static_cast<std::size_t>(t)],
-                g_out, grads_);
+            backend_->backward(theta_,
+                               slot.rollout[static_cast<std::size_t>(t)],
+                               g_out, grads_);
         }
     }
     // Average over environments, as PAAC's batched update does.

@@ -98,7 +98,6 @@ class PaacTrainer
   private:
     struct EnvSlot
     {
-        std::unique_ptr<DnnBackend> backend;
         std::unique_ptr<env::AtariSession> session;
         std::vector<nn::A3cNetwork::Activations> rollout;
         std::vector<int> actions;
@@ -115,6 +114,10 @@ class PaacTrainer
     ScoreLog scores_;
     sim::Rng rng_;
     std::vector<EnvSlot> envs_;
+    /** The one DNN executor (factory id 0): one thread runs every
+     * pass of every environment under the one theta_, so one staged
+     * copy serves them all. */
+    std::unique_ptr<DnnBackend> backend_;
     nn::ParamSet theta_;
     nn::ParamSet grads_;
     nn::A3cNetwork::Activations bootstrap_;

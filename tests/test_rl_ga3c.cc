@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "env/games.hh"
 #include "rl/ga3c.hh"
 
@@ -64,6 +66,27 @@ TEST(Ga3cTrainer, ConsumesStepsAndApplies_batchedUpdates)
                                              cfg.tMax),
               trainer.globalParams().globalSteps() -
                   static_cast<std::uint64_t>(cfg.numEnvs * cfg.tMax));
+}
+
+TEST(Ga3cTrainer, BuildsOnePredictorAndOneTrainerBackend)
+{
+    // The predictor (id 0) serves every environment under
+    // theta_predict and the trainer (id 1) runs under theta_train;
+    // a run and a restore build no more.
+    const nn::NetConfig net_cfg = nn::NetConfig::tiny(3);
+    nn::A3cNetwork net(net_cfg);
+    std::vector<int> built;
+    Ga3cTrainer trainer(
+        net, baseConfig(),
+        [&](int id) {
+            built.push_back(id);
+            return std::make_unique<ReferenceBackend>(net);
+        },
+        pongSessions(net_cfg, 17));
+    EXPECT_EQ(built, (std::vector<int>{0, 1}));
+    trainer.run();
+    ASSERT_TRUE(trainer.restore(trainer.checkpoint()));
+    EXPECT_EQ(built, (std::vector<int>{0, 1}));
 }
 
 TEST(Ga3cTrainer, PredictorRefreshCadenceHonored)

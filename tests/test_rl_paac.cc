@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "env/games.hh"
 #include "rl/paac.hh"
 
@@ -56,6 +58,26 @@ TEST(PaacTrainer, OneUpdatePerSynchronizedBatch)
                   static_cast<std::uint64_t>(cfg.numEnvs * cfg.tMax),
               steps);
     EXPECT_GT(trainer.updatesApplied(), 0u);
+}
+
+TEST(PaacTrainer, BuildsOneBackendForEveryEnvironment)
+{
+    // One thread runs every pass under the one theta, so one backend
+    // serves all numEnvs environments, through a run and a restore.
+    const nn::NetConfig net_cfg = nn::NetConfig::tiny(3);
+    nn::A3cNetwork net(net_cfg);
+    std::vector<int> built;
+    PaacTrainer trainer(
+        net, baseConfig(),
+        [&](int id) {
+            built.push_back(id);
+            return std::make_unique<ReferenceBackend>(net);
+        },
+        pongSessions(net_cfg, 13));
+    EXPECT_EQ(built, std::vector<int>{0});
+    trainer.run();
+    ASSERT_TRUE(trainer.restore(trainer.checkpoint()));
+    EXPECT_EQ(built, std::vector<int>{0});
 }
 
 TEST(PaacTrainer, DeterministicAcrossRuns)
