@@ -374,6 +374,15 @@ runLaunch(const char *argv0, const Options &opt, env::GameId game)
         return opt.telemetryBase > 0 ? opt.telemetryBase + 1 + index
                                      : 0;
     };
+    // Worker index's scrape target, labelled "w<index>" (built by
+    // appending: GCC 12 flags "w" + std::string&& with a false-positive
+    // -Wrestrict in Release builds).
+    const auto workerTarget = [&](int index) {
+        std::string label = "w";
+        label += std::to_string(index);
+        return obs::ScrapeTarget{std::move(label), "127.0.0.1",
+                                 workerTelemetryPort(index)};
+    };
     std::unique_ptr<obs::TelemetryAggregator> aggregator;
     if (opt.telemetryBase > 0) {
         obs::AggregatorConfig acfg;
@@ -381,10 +390,7 @@ runLaunch(const char *argv0, const Options &opt, env::GameId game)
         // fast enough that even those get a live fleet view.
         acfg.scrapeIntervalMs = 250;
         for (int i = 0; i < opt.workers; ++i)
-            acfg.targets.push_back(
-                obs::ScrapeTarget{"w" + std::to_string(i),
-                                  "127.0.0.1",
-                                  workerTelemetryPort(i)});
+            acfg.targets.push_back(workerTarget(i));
         aggregator =
             std::make_unique<obs::TelemetryAggregator>(acfg);
         aggregator->attach(obs::telemetry());
@@ -429,10 +435,7 @@ runLaunch(const char *argv0, const Options &opt, env::GameId game)
                             fault::kKillExitCode);
                 std::fflush(stdout);
                 if (aggregator)
-                    aggregator->addTarget(obs::ScrapeTarget{
-                        "w" + std::to_string(next_index),
-                        "127.0.0.1",
-                        workerTelemetryPort(next_index)});
+                    aggregator->addTarget(workerTarget(next_index));
                 children.push_back(spawnWorker(
                     argv0, opt, ps.port(), next_index, 0,
                     workerTelemetryPort(next_index)));

@@ -46,9 +46,13 @@ probe()
     info.kernelThreads = sim::kernelThreadsFromEnv();
     info.fingerprint = info.cpuModel + "/" +
                        std::to_string(info.logicalCores) + "c";
-    if (info.kernelThreads > 0)
-        info.fingerprint +=
-            "/" + std::to_string(info.kernelThreads) + "t";
+    if (info.kernelThreads > 0) {
+        // Appended piecewise: GCC 12 flags "/" + std::string&& with a
+        // false-positive -Wrestrict in Release builds.
+        info.fingerprint += '/';
+        info.fingerprint += std::to_string(info.kernelThreads);
+        info.fingerprint += 't';
+    }
     return info;
 }
 
