@@ -45,7 +45,6 @@ buildInfoJson()
     json.field("git_sha", FA3C_GIT_SHA);
     json.field("build_type", FA3C_BUILD_TYPE);
     json.field("compiler", FA3C_COMPILER);
-    json.field("kernels_native", FA3C_KERNELS_NATIVE_STR);
     json.field("backend", activeBackend());
     json.endObject();
     os << '\n';

@@ -23,8 +23,8 @@ void setActiveBackend(std::string_view kind);
 /** The last value passed to setActiveBackend(); "unset" initially. */
 std::string activeBackend();
 
-/** One JSON object: schema, git sha, build type, compiler,
- * kernels_native, active backend. */
+/** One JSON object: schema, git sha, build type, compiler, active
+ * backend. */
 std::string buildInfoJson();
 
 } // namespace fa3c::obs

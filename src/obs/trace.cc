@@ -292,11 +292,8 @@ trace()
         const char *raw = std::getenv("FA3C_TRACE");
         if (!raw || !*raw)
             return nullptr;
-        const std::string path = expandPathTokens(raw);
-        std::uint64_t max_events = 8'000'000;
-        if (const char *cap = std::getenv("FA3C_TRACE_MAX_EVENTS"))
-            max_events = std::strtoull(cap, nullptr, 10);
-        auto writer = std::make_unique<TraceWriter>(path, max_events);
+        auto writer =
+            std::make_unique<TraceWriter>(expandPathTokens(raw));
         if (!writer->ok())
             return nullptr;
         notifyTraceStarted(*writer);

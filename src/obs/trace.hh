@@ -15,10 +15,10 @@
  *
  * Enable globally by setting FA3C_TRACE=<path>; all instrumentation
  * sites are no-ops when tracing is off (trace() returns nullptr).
- * FA3C_TRACE_MAX_EVENTS caps the event count (default 8 M); past the
- * cap events are dropped (and counted in both the trace footer and
- * the `trace.dropped_events` metric) rather than growing the file
- * without bound.
+ * The writer caps the event count (8 M by default); past the cap
+ * events are dropped (and counted in both the trace footer and the
+ * `trace.dropped_events` metric) rather than growing the file without
+ * bound.
  */
 
 #ifndef FA3C_OBS_TRACE_HH
