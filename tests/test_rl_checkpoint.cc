@@ -23,6 +23,7 @@
 #include "rl/ga3c.hh"
 #include "rl/paac.hh"
 #include "sim/fault.hh"
+#include "sim/serial.hh"
 
 using namespace fa3c;
 using namespace fa3c::rl;
@@ -357,6 +358,41 @@ TEST(Checkpoint, WrongVersionHeaderRejected)
     dst.algorithm = "sentinel";
     EXPECT_FALSE(loadCheckpointFromFile(dst, file.path));
     EXPECT_EQ(dst.algorithm, "sentinel");
+}
+
+// A table whose word counts disagree with the destination's but sum to
+// the same total, under a valid CRC: only the table check can refuse
+// it, since every later section still parses.
+TEST(Checkpoint, SegmentTableMismatchRejectedUnderValidCrc)
+{
+    nn::A3cNetwork net(nn::NetConfig::tiny(3));
+    TempFile file("fa3c_test_ckpt_table.bin");
+    std::string image = validImage(net, file.path);
+
+    // Each table entry is the name blob followed by its u32 count;
+    // move one word from conv1.b to conv1.w.
+    const auto count_at = [&](const std::string &name) {
+        const std::size_t at = image.find(name);
+        EXPECT_NE(at, std::string::npos) << name;
+        return at + name.size();
+    };
+    const auto bump = [&](std::size_t at, std::int32_t delta) {
+        std::uint32_t count = 0;
+        std::memcpy(&count, image.data() + at, sizeof(count));
+        count += static_cast<std::uint32_t>(delta);
+        std::memcpy(image.data() + at, &count, sizeof(count));
+    };
+    bump(count_at("conv1.w"), 1);
+    bump(count_at("conv1.b"), -1);
+    const std::uint32_t crc =
+        sim::crc32(image.data() + 16, image.size() - 16);
+    std::memcpy(image.data() + 12, &crc, sizeof(crc));
+    spill(file.path, image);
+
+    TrainingCheckpoint pristine = filledCheckpoint(net, 31);
+    TrainingCheckpoint dst = pristine;
+    EXPECT_FALSE(loadCheckpointFromFile(dst, file.path));
+    EXPECT_TRUE(sameCheckpoint(dst, pristine));
 }
 
 TEST(Checkpoint, FlippedCrcFieldRejected)
