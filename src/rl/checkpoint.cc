@@ -20,7 +20,7 @@ constexpr std::uint32_t checkpointMagic = 0xFA3CC4B7;
 /** Refuse files whose payload would exceed this, before reading them
  * (a corrupt or hostile file must not drive a multi-gigabyte
  * allocation). */
-constexpr std::uint64_t maxPayloadBytes = 1u << 30;
+constexpr std::uint32_t maxPayloadBytes = 1u << 30;
 
 struct ImageHeader
 {
@@ -95,8 +95,8 @@ checkpointFromImage(TrainingCheckpoint &ckpt, std::string_view image)
                    header.payloadSize) != header.payloadCrc)
         return false;
 
-    if (!ckpt.theta.sameLayout(ckpt.rmspropG))
-        return false;
+    FA3C_ASSERT(ckpt.theta.sameLayout(ckpt.rmspropG),
+                "checkpoint theta and g layouts differ");
     TrainingCheckpoint staged;
     staged.theta = ckpt.theta;       // adopt the destination layouts
     staged.rmspropG = ckpt.rmspropG; // (values overwritten below)

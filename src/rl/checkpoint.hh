@@ -57,8 +57,9 @@ inline constexpr std::size_t kScoreTailMax = 1000;
  * Everything needed to resume a training run.
  *
  * The two parameter sets must be shaped by the caller (via
- * A3cNetwork::makeParams()) before loading; their layout is validated
- * against the stored segment table.
+ * A3cNetwork::makeParams(), one layout for both) before saving or
+ * loading; their layout is validated against the stored segment
+ * table.
  */
 struct TrainingCheckpoint
 {

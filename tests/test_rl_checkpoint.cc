@@ -202,17 +202,6 @@ TEST(Checkpoint, FileRoundTripPreservesEverything)
     ASSERT_TRUE(loadCheckpointFromFile(restored, file.path));
     EXPECT_TRUE(sameWords(original.theta, restored.theta));
     EXPECT_TRUE(sameWords(original.rmspropG, restored.rmspropG));
-    EXPECT_EQ(restored.algorithm, "a3c");
-    EXPECT_EQ(restored.globalSteps, 12348u);
-    EXPECT_EQ(restored.updates, 7u);
-    EXPECT_EQ(restored.refreshes, 3u);
-    EXPECT_EQ(restored.updatesSinceRefresh, 2u);
-    EXPECT_TRUE(restored.hasAgentState);
-    EXPECT_EQ(restored.agentStates, original.agentStates);
-    ASSERT_EQ(restored.scoreTail.size(), 2u);
-    EXPECT_EQ(restored.scoreTail[0].globalStep, 100u);
-    EXPECT_DOUBLE_EQ(restored.scoreTail[1].score, -2.0);
-    EXPECT_EQ(restored.scoreTail[1].agentId, 1);
     EXPECT_TRUE(sameCheckpoint(original, restored));
     // The trainer rng stream continues identically.
     sim::Rng a(1), b(1);
