@@ -149,3 +149,21 @@ TEST(EvaluatePolicy, SamplingStreamsDiffer)
     // surely different step totals).
     EXPECT_NE(a.steps, b.steps);
 }
+
+TEST(EvaluatePolicy, SampledRunMatchesRecordedTrajectory)
+{
+    // Pins the sampled (non-greedy) path: one uniform draw per step
+    // picks the action by inverse CDF, so the step count and the
+    // score sum of a fixed-seed evaluation change if the draw or the
+    // pick does.
+    Fixture f;
+    auto session = f.session(13);
+    EvalConfig cfg;
+    cfg.episodes = 4;
+    cfg.seed = 5;
+    const EvalResult r =
+        evaluatePolicy(f.backend, f.params, session, cfg);
+    EXPECT_EQ(r.scores.count(), 4u);
+    EXPECT_EQ(r.steps, 283u);
+    EXPECT_DOUBLE_EQ(r.scores.sum(), -6.0);
+}
