@@ -1,7 +1,6 @@
 #include "harness/experiments.hh"
 
 #include <atomic>
-#include <fstream>
 #include <memory>
 #include <string>
 
@@ -287,17 +286,9 @@ runTraining(const TrainingRunConfig &cfg)
 
     rl::A3cTrainer trainer(net, cfg.a3c, backend_factory,
                            session_factory);
-    TrainingRunResult result;
-    if (cfg.resume && !cfg.a3c.checkpointPath.empty() &&
-        std::ifstream(cfg.a3c.checkpointPath).good()) {
-        if (!trainer.resumeFromFile())
-            FA3C_PANIC("cannot resume from corrupt or mismatched "
-                       "checkpoint ",
-                       cfg.a3c.checkpointPath);
-        result.resumedFromStep = trainer.globalParams().globalSteps();
-    }
     trainer.run();
 
+    TrainingRunResult result;
     const auto series =
         trainer.scores().movingAverage(cfg.scoreWindow, 1);
     result.curve.reserve(series.size());

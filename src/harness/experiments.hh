@@ -92,13 +92,6 @@ struct TrainingRunConfig
     /** Moving-average window (the paper smooths over 1,000 episodes;
      * scaled-down runs use a smaller window). */
     std::size_t scoreWindow = 50;
-    /** Observation downsampling: the session renders 84x84 frames and
-     * pools them to the network input size. */
-
-    /** Resume from a3c.checkpointPath before training when the file
-     * exists; a missing file silently starts fresh, a corrupt or
-     * mismatched one aborts the run. */
-    bool resume = false;
 };
 
 /** Result of one training run. */
@@ -109,8 +102,6 @@ struct TrainingRunResult
     double firstScore = 0;         ///< first moving-average value
     std::uint64_t episodes = 0;
     std::uint64_t steps = 0;
-    /** Step the run resumed from (0 when started fresh). */
-    std::uint64_t resumedFromStep = 0;
 };
 
 /** Run A3C end-to-end on a synthetic game and return the learning

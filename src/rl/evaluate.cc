@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "nn/layers.hh"
+#include "rl/a3c.hh"
 #include "sim/logging.hh"
 
 namespace fa3c::rl {
@@ -27,22 +28,11 @@ evaluatePolicy(DnnBackend &backend, const nn::ParamSet &params,
            result.steps < cfg.maxSteps) {
         backend.forward(params, session.observation(), act);
         nn::softmax(net.policyLogits(act), probs);
-        int action = 0;
-        if (cfg.greedy) {
-            action = static_cast<int>(
-                std::max_element(probs.begin(), probs.end()) -
-                probs.begin());
-        } else {
-            float u = rng.uniformF();
-            for (std::size_t a = 0; a < probs.size(); ++a) {
-                u -= probs[a];
-                if (u <= 0.0f) {
-                    action = static_cast<int>(a);
-                    break;
-                }
-                action = static_cast<int>(probs.size()) - 1;
-            }
-        }
+        const int action =
+            cfg.greedy ? static_cast<int>(
+                             std::max_element(probs.begin(), probs.end()) -
+                             probs.begin())
+                       : sampleAction(probs, rng);
         const auto step = session.act(action);
         ++result.steps;
         if (step.episodeEnd) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "nn/layers.hh"
-#include "obs/prometheus.hh"
-#include "obs/telemetry.hh"
 #include "sim/logging.hh"
 #include "sim/serial.hh"
 
@@ -38,18 +36,6 @@ Ga3cTrainer::Ga3cTrainer(const nn::A3cNetwork &net,
         envs_.push_back(std::move(slot));
         predictActs_.push_back(net.makeActivations());
     }
-}
-
-int
-Ga3cTrainer::sampleAction(std::span<const float> probs)
-{
-    float u = rng_.uniformF();
-    for (std::size_t a = 0; a < probs.size(); ++a) {
-        u -= probs[a];
-        if (u <= 0.0f)
-            return static_cast<int>(a);
-    }
-    return static_cast<int>(probs.size()) - 1;
 }
 
 void
@@ -93,7 +79,7 @@ Ga3cTrainer::predictorStep()
                          slot.session->numActions()),
                      0.0f);
         nn::softmax(net_.policyLogits(act), probs);
-        const int action = sampleAction(probs);
+        const int action = sampleAction(probs, rng_);
         const auto step = slot.session->act(action);
         roll.actions.push_back(action);
         roll.rewards.push_back(step.clippedReward);
@@ -247,58 +233,11 @@ Ga3cTrainer::restore(const TrainingCheckpoint &ckpt)
     return true;
 }
 
-bool
-Ga3cTrainer::resumeFromFile(const std::string &path)
-{
-    const std::string &file =
-        path.empty() ? cfg_.checkpointPath : path;
-    TrainingCheckpoint ckpt;
-    ckpt.theta = net_.makeParams();
-    ckpt.rmspropG = net_.makeParams();
-    return loadCheckpointFromFile(ckpt, file) && restore(ckpt);
-}
-
-void
-Ga3cTrainer::maybeCheckpoint()
-{
-    if (cfg_.checkpointPath.empty())
-        return;
-    bool due = consumeCheckpointRequest();
-    if (cfg_.checkpointEverySteps > 0 &&
-        global_.globalSteps() >= nextCheckpointAt_)
-        due = true;
-    if (!due)
-        return;
-    saveCheckpointToFile(checkpoint(), cfg_.checkpointPath);
-    while (cfg_.checkpointEverySteps > 0 &&
-           nextCheckpointAt_ <= global_.globalSteps())
-        nextCheckpointAt_ += cfg_.checkpointEverySteps;
-}
-
 void
 Ga3cTrainer::run(std::function<bool()> stop_early)
 {
-    obs::TelemetryRegistration telemetry_reg(
-        obs::telemetry(),
-        [this](obs::PromWriter &w) {
-            w.gauge("rl_ga3c_global_steps",
-                    static_cast<double>(global_.globalSteps()),
-                    "environment steps consumed by the GA3C trainer");
-            w.gauge("rl_ga3c_total_steps",
-                    static_cast<double>(cfg_.totalSteps),
-                    "configured GA3C training budget");
-        },
-        "trainer.ga3c",
-        [this](std::string &detail) {
-            detail = "steps=" +
-                     std::to_string(global_.globalSteps()) + "/" +
-                     std::to_string(cfg_.totalSteps);
-            return true;
-        });
-
-    if (cfg_.checkpointEverySteps > 0)
-        nextCheckpointAt_ =
-            global_.globalSteps() + cfg_.checkpointEverySteps;
+    const obs::TelemetryRegistration telemetry =
+        trainerTelemetry("ga3c", global_, cfg_.totalSteps);
     while (global_.globalSteps() < cfg_.totalSteps) {
         if (stop_early && stop_early())
             return;
@@ -306,7 +245,6 @@ Ga3cTrainer::run(std::function<bool()> stop_early)
         while (static_cast<int>(trainingQueue_.size()) >=
                cfg_.trainingBatch)
             trainerStep();
-        maybeCheckpoint();
     }
 }
 

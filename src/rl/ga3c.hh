@@ -34,32 +34,15 @@
 
 namespace fa3c::rl {
 
-/** GA3C hyper-parameters. */
-struct Ga3cConfig
+/** GA3C hyper-parameters: the shared ones plus GA3C's batching. */
+struct Ga3cConfig : TrainerConfig
 {
     int numEnvs = 16;
-    int tMax = 5;
     /** Rollouts fused into one trainer update (GA3C's batching). */
     int trainingBatch = 4;
     /** Updates between predictor snapshot refreshes; 1 = refresh
      * after every update (minimal lag), larger = more policy lag. */
     int predictorRefreshUpdates = 1;
-    float gamma = 0.99f;
-    float entropyBeta = 0.01f;
-    float valueGradScale = 0.5f;
-    float initialLr = 7e-4f;
-    std::uint64_t lrAnnealSteps = 100'000'000;
-    float gradNormClip = 40.0f;
-    nn::RmspropConfig rmsprop;
-    std::uint64_t totalSteps = 100'000;
-    std::uint64_t seed = 1;
-    /** DNN backend built when the trainer is handed a null
-     * BackendFactory (an explicit factory wins). */
-    BackendKind backend = BackendKind::Reference;
-    /** Checkpoint file ("" disables checkpointing entirely). */
-    std::string checkpointPath;
-    /** Env steps between periodic checkpoints (0 = only on signal). */
-    std::uint64_t checkpointEverySteps = 0;
 };
 
 /** The GA3C trainer. */
@@ -90,7 +73,9 @@ class Ga3cTrainer
      * rollouts are *not* captured (they reference a stale predictor
      * snapshot); resume re-collects them, so at most
      * numEnvs * tMax environment steps of rollout work is repeated
-     * and GA3C resume is crash-consistent rather than bit-exact.
+     * and GA3C resume is crash-consistent rather than bit-exact. The
+     * trainer writes no file; save the image with
+     * saveCheckpointToFile.
      */
     TrainingCheckpoint checkpoint();
 
@@ -99,10 +84,6 @@ class Ga3cTrainer
      * mismatch. Drops any queued rollouts and re-snapshots the
      * predictor from the restored parameters. */
     bool restore(const TrainingCheckpoint &ckpt);
-
-    /** Load cfg.checkpointPath (or @p path) and restore; false when
-     * the file is absent, corrupt, or incompatible. */
-    bool resumeFromFile(const std::string &path = "");
 
   private:
     /** A finished rollout waiting in the training queue. */
@@ -144,17 +125,13 @@ class Ga3cTrainer
     std::deque<QueuedRollout> trainingQueue_;
     std::uint64_t refreshes_ = 0;
     int updatesSinceRefresh_ = 0;
-    std::uint64_t nextCheckpointAt_ = 0;
 
     void refreshPredictor();
-    /** Write a periodic/on-signal checkpoint when one is due. */
-    void maybeCheckpoint();
     /** Advance every environment one step with the stale predictor. */
     std::uint64_t predictorStep();
     /** Train on one batch of queued rollouts with the current
      * parameters. */
     void trainerStep();
-    int sampleAction(std::span<const float> probs);
 };
 
 } // namespace fa3c::rl

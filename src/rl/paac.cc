@@ -1,9 +1,6 @@
 #include "rl/paac.hh"
 
 #include "nn/layers.hh"
-#include "obs/metrics.hh"
-#include "obs/prometheus.hh"
-#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
 #include "sim/serial.hh"
@@ -42,18 +39,6 @@ PaacTrainer::PaacTrainer(const nn::A3cNetwork &net,
                 slot.session->numActions())));
         envs_.push_back(std::move(slot));
     }
-}
-
-int
-PaacTrainer::sampleAction(std::span<const float> probs)
-{
-    float u = rng_.uniformF();
-    for (std::size_t a = 0; a < probs.size(); ++a) {
-        u -= probs[a];
-        if (u <= 0.0f)
-            return static_cast<int>(a);
-    }
-    return static_cast<int>(probs.size()) - 1;
 }
 
 std::uint64_t
@@ -110,7 +95,7 @@ PaacTrainer::runBatch()
             auto &act = slot.rollout[static_cast<std::size_t>(t)];
             auto &p = slot.probs[static_cast<std::size_t>(t)];
             nn::softmax(net_.policyLogits(act), p);
-            const int action = sampleAction(p);
+            const int action = sampleAction(p, rng_);
             slot.actions[static_cast<std::size_t>(t)] = action;
             slot.values[static_cast<std::size_t>(t)] = net_.value(act);
             const auto step = slot.session->act(action);
@@ -172,11 +157,6 @@ PaacTrainer::runBatch()
         tw->hostCompleteEvent("RL batch", "batch", batch_start,
                               tw->hostNowUs());
     }
-    if (obs::MetricsRegistry &m = obs::metrics(); m.enabled()) {
-        m.count("rl.paac", "batches", 1);
-        m.count("rl.paac", "env_steps", steps);
-        m.sample("rl.paac", "batch_steps", static_cast<double>(steps));
-    }
     return steps;
 }
 
@@ -225,63 +205,15 @@ PaacTrainer::restore(const TrainingCheckpoint &ckpt)
     return true;
 }
 
-bool
-PaacTrainer::resumeFromFile(const std::string &path)
-{
-    const std::string &file =
-        path.empty() ? cfg_.checkpointPath : path;
-    TrainingCheckpoint ckpt;
-    ckpt.theta = net_.makeParams();
-    ckpt.rmspropG = net_.makeParams();
-    return loadCheckpointFromFile(ckpt, file) && restore(ckpt);
-}
-
-void
-PaacTrainer::maybeCheckpoint()
-{
-    if (cfg_.checkpointPath.empty())
-        return;
-    bool due = consumeCheckpointRequest();
-    if (cfg_.checkpointEverySteps > 0 &&
-        global_.globalSteps() >= nextCheckpointAt_)
-        due = true;
-    if (!due)
-        return;
-    saveCheckpointToFile(checkpoint(), cfg_.checkpointPath);
-    while (cfg_.checkpointEverySteps > 0 &&
-           nextCheckpointAt_ <= global_.globalSteps())
-        nextCheckpointAt_ += cfg_.checkpointEverySteps;
-}
-
 void
 PaacTrainer::run(std::function<bool()> stop_early)
 {
-    obs::TelemetryRegistration telemetry_reg(
-        obs::telemetry(),
-        [this](obs::PromWriter &w) {
-            w.gauge("rl_paac_global_steps",
-                    static_cast<double>(global_.globalSteps()),
-                    "environment steps consumed by the PAAC trainer");
-            w.gauge("rl_paac_total_steps",
-                    static_cast<double>(cfg_.totalSteps),
-                    "configured PAAC training budget");
-        },
-        "trainer.paac",
-        [this](std::string &detail) {
-            detail = "steps=" +
-                     std::to_string(global_.globalSteps()) + "/" +
-                     std::to_string(cfg_.totalSteps);
-            return true;
-        });
-
-    if (cfg_.checkpointEverySteps > 0)
-        nextCheckpointAt_ =
-            global_.globalSteps() + cfg_.checkpointEverySteps;
+    const obs::TelemetryRegistration telemetry =
+        trainerTelemetry("paac", global_, cfg_.totalSteps);
     while (global_.globalSteps() < cfg_.totalSteps) {
         if (stop_early && stop_early())
             return;
         runBatch();
-        maybeCheckpoint();
     }
 }
 

@@ -30,27 +30,11 @@
 
 namespace fa3c::rl {
 
-/** PAAC hyper-parameters. */
-struct PaacConfig
+/** PAAC hyper-parameters: the shared ones plus the environment
+ * count. */
+struct PaacConfig : TrainerConfig
 {
     int numEnvs = 16;   ///< environments advanced in lock step
-    int tMax = 5;
-    float gamma = 0.99f;
-    float entropyBeta = 0.01f;
-    float valueGradScale = 0.5f;
-    float initialLr = 7e-4f;
-    std::uint64_t lrAnnealSteps = 100'000'000;
-    float gradNormClip = 40.0f;
-    nn::RmspropConfig rmsprop;
-    std::uint64_t totalSteps = 100'000;
-    std::uint64_t seed = 1;
-    /** DNN backend built when the trainer is handed a null
-     * BackendFactory (an explicit factory wins). */
-    BackendKind backend = BackendKind::Reference;
-    /** Checkpoint file ("" disables checkpointing entirely). */
-    std::string checkpointPath;
-    /** Env steps between periodic checkpoints (0 = only on signal). */
-    std::uint64_t checkpointEverySteps = 0;
 };
 
 /**
@@ -82,7 +66,8 @@ class PaacTrainer
     /**
      * Capture the full training state. PAAC is synchronous, so
      * checkpoints always carry the per-environment state and resume
-     * bit-exactly (at batch boundaries).
+     * bit-exactly (at batch boundaries). The trainer writes no file;
+     * save the image with saveCheckpointToFile.
      */
     TrainingCheckpoint checkpoint();
 
@@ -90,10 +75,6 @@ class PaacTrainer
      * touching any state — on an algorithm/layout/env-count
      * mismatch. */
     bool restore(const TrainingCheckpoint &ckpt);
-
-    /** Load cfg.checkpointPath (or @p path) and restore; false when
-     * the file is absent, corrupt, or incompatible. */
-    bool resumeFromFile(const std::string &path = "");
 
   private:
     struct EnvSlot
@@ -121,14 +102,9 @@ class PaacTrainer
     nn::ParamSet theta_;
     nn::ParamSet grads_;
     nn::A3cNetwork::Activations bootstrap_;
-    std::uint64_t nextCheckpointAt_ = 0;
 
     /** One synchronized batch: rollouts + a single global update. */
     std::uint64_t runBatch();
-    int sampleAction(std::span<const float> probs);
-
-    /** Write a periodic/on-signal checkpoint when one is due. */
-    void maybeCheckpoint();
 };
 
 } // namespace fa3c::rl

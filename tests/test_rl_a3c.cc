@@ -1,18 +1,23 @@
 /** @file
  * Tests of the A3C algorithm pieces: the host-side delta-objective
  * (checked against a finite-difference of the actual loss), gradient
- * clipping, the global parameter store, the score log, and a
- * deterministic round-robin training smoke test.
+ * clipping, the shared action sampler, the global parameter store,
+ * the score log, deterministic round-robin training, and the
+ * trainer's telemetry attachment.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <cstdlib>
+#include <string>
+#include <utility>
 
 #include "env/games.hh"
 #include "nn/layers.hh"
 #include "rl/a3c.hh"
+#include "sim/logging.hh"
 #include "test_util.hh"
 
 using namespace fa3c;
@@ -128,6 +133,29 @@ TEST(ClipGradNorm, ScalesOnlyWhenAboveLimit)
     EXPECT_NEAR(norm2, 5.0f, 1e-5f);
     EXPECT_NEAR(grads.flat()[0], 0.6f, 1e-5f);
     EXPECT_NEAR(grads.flat()[1], 0.8f, 1e-5f);
+}
+
+TEST(SampleAction, PicksByInverseCdfWithOneDrawPerCall)
+{
+    // sim::Rng(42) draws 0.0839, 0.3790, 0.6800, 0.9247, 0.9918,
+    // 0.7697, ... Against the CDF {0.25, 0.75, 1.0} the first four
+    // draws pick actions 0, 1, 1 and 2.
+    sim::Rng rng(42);
+    const std::vector<float> probs = {0.25f, 0.5f, 0.25f};
+    EXPECT_EQ(sampleAction(probs, rng), 0);
+    EXPECT_EQ(sampleAction(probs, rng), 1);
+    EXPECT_EQ(sampleAction(probs, rng), 1);
+    EXPECT_EQ(sampleAction(probs, rng), 2);
+    // These probabilities sum to 0.75, below the next two draws, so
+    // both fall through to the last action although it has no mass.
+    const std::vector<float> short_probs = {0.5f, 0.25f, 0.0f};
+    EXPECT_EQ(sampleAction(short_probs, rng), 2);
+    EXPECT_EQ(sampleAction(short_probs, rng), 2);
+    // Six calls took exactly six draws.
+    sim::Rng twin(42);
+    for (int i = 0; i < 6; ++i)
+        (void)twin.uniformF();
+    EXPECT_EQ(rng.uniformF(), twin.uniformF());
 }
 
 TEST(GlobalParams, SnapshotAndAnnealing)
@@ -371,4 +399,63 @@ TEST(A3cTrainer, FastCpuSyncRunMatchesRecordedTrajectory)
         EXPECT_EQ(hashWords(theta), pin.theta) << "fcSize " << pin.fcSize;
         EXPECT_EQ(hashWords(g), pin.g) << "fcSize " << pin.fcSize;
     }
+}
+
+namespace {
+
+/** Whether /metrics holds the A3C progress gauge and /readyz lists
+ * the A3C trainer's probe. */
+std::pair<bool, bool>
+a3cTelemetryAttached(obs::TelemetryServer &server)
+{
+    std::string ready;
+    server.renderReady(ready);
+    return {server.renderMetrics().find("rl_a3c_global_steps") !=
+                std::string::npos,
+            ready.find("trainer.a3c") != std::string::npos};
+}
+
+/** Death-test child: 0 when the trainer's gauge and probe are
+ * attached mid-run and gone once run() returns. */
+int
+telemetryChild()
+{
+    sim::setLogLevel(sim::LogLevel::Warn);
+    ::setenv("FA3C_TELEMETRY_PORT", "0", 1);
+    obs::TelemetryServer *server = obs::telemetry();
+    if (server == nullptr)
+        return 2;
+
+    const nn::NetConfig net_cfg = nn::NetConfig::tiny(3);
+    nn::A3cNetwork net(net_cfg);
+    A3cConfig cfg;
+    cfg.numAgents = 2;
+    cfg.totalSteps = 100;
+    cfg.async = false;
+    A3cTrainer trainer(
+        net, cfg,
+        [&net](int) { return std::make_unique<ReferenceBackend>(net); },
+        pongSessions(net_cfg, 3));
+    std::pair<bool, bool> during{false, false};
+    trainer.run([&] {
+        if (trainer.globalParams().globalSteps() > 0)
+            during = a3cTelemetryAttached(*server);
+        return false;
+    });
+    const std::pair<bool, bool> after = a3cTelemetryAttached(*server);
+    return during.first && during.second && !after.first &&
+                   !after.second
+               ? 0
+               : 1;
+}
+
+} // namespace
+
+TEST(A3cTrainerDeathTest, TelemetryAttachedOnlyDuringRun)
+{
+    // The telemetry server is process-wide and created from the
+    // environment on first use, so the check runs in a fresh child.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(std::exit(telemetryChild()),
+                ::testing::ExitedWithCode(0), "");
 }
