@@ -23,10 +23,11 @@ std::atomic<bool> g_installed{false};
 
 /**
  * Flush the exports, then defer to whoever owned the signal before
- * us: a real previous handler (e.g. the checkpoint handler, which
- * just sets a flag and lets the run shut down gracefully) is called
- * and the process keeps running; otherwise the default disposition is
- * restored and the signal re-raised so the process still dies.
+ * us: a real previous handler (e.g. the training stop handler, which
+ * just sets a flag so the run ends at its next routine boundary) is
+ * called and the process keeps running; otherwise the default
+ * disposition is restored and the signal re-raised so the process
+ * still dies.
  *
  * The flush itself is not async-signal-safe (it allocates and does
  * stream I/O). That is a deliberate trade: without it the data is

@@ -115,18 +115,23 @@ bool loadCheckpointFromFile(TrainingCheckpoint &ckpt,
                             const std::string &path);
 
 /**
- * Install SIGINT/SIGTERM/SIGUSR1 handlers that request a checkpoint.
- * The handler only sets a flag; the training loops poll it between
- * routines via consumeCheckpointRequest() and write the checkpoint
- * from normal context. Idempotent.
+ * Install the training signal handlers. SIGUSR1 requests a checkpoint
+ * and training continues; SIGINT and SIGTERM request a stop, so the
+ * run ends at its next routine boundary and writes its end-of-run
+ * checkpoint. The handlers only set lock-free atomic flags, which the
+ * trainer polls between routines (consumeCheckpointRequest(),
+ * stopRequested()) and acts on from normal context. Idempotent.
  */
 void installCheckpointSignalHandler();
 
-/** True once per signal received; clears the request flag. */
+/** True once per checkpoint request; clears the request flag. */
 bool consumeCheckpointRequest();
 
 /** Set the request flag directly (tests, embedding applications). */
 void requestCheckpoint();
+
+/** True once SIGINT or SIGTERM has arrived; the flag stays set. */
+bool stopRequested();
 
 } // namespace fa3c::rl
 
