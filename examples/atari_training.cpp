@@ -24,12 +24,14 @@
  *                            sync print the equivalent multi-process
  *                            dist_training invocation and exit
  *
- * With --checkpoint set, SIGINT/SIGTERM/SIGUSR1 also trigger a
- * checkpoint at the next routine boundary.
+ * With --checkpoint set, the run writes a checkpoint when it ends,
+ * SIGUSR1 writes one at the next routine boundary and training goes
+ * on, and SIGINT/SIGTERM end the run at the next routine boundary
+ * (with its end-of-run checkpoint). A malformed count (a sign,
+ * trailing text, or --workers outside 1..256) exits 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -42,7 +44,23 @@
 #include "rl/a3c.hh"
 #include "rl/checkpoint.hh"
 
+#include "cli.hh"
+
 using namespace fa3c;
+
+namespace {
+
+int
+badValue(const char *what, const char *text, const char *want)
+{
+    std::fprintf(stderr,
+                 "bad %s value: %s (want %s)\n"
+                 "usage: atari_training [game] [steps] [options]\n",
+                 what, text, want);
+    return 2;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -72,20 +90,19 @@ main(int argc, char **argv)
         } else if (arg == "--checkpoint" && i + 1 < argc) {
             checkpoint_path = argv[++i];
         } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-            checkpoint_every = std::strtoull(argv[++i], nullptr, 10);
+            const auto n = cli::parseCount(argv[++i]);
+            if (!n)
+                return badValue("--checkpoint-every", argv[i],
+                                "a step count");
+            checkpoint_every = *n;
         } else if (arg == "--resume") {
             resume = true;
         } else if (arg == "--workers" && i + 1 < argc) {
-            char *end = nullptr;
-            const long n = std::strtol(argv[++i], &end, 10);
-            if (end == nullptr || *end != '\0' || n < 1 || n > 256) {
-                std::fprintf(stderr,
-                             "bad --workers value: %s (want an "
-                             "integer in 1..256)\n",
-                             argv[i]);
-                return 2;
-            }
-            workers = static_cast<int>(n);
+            const auto n = cli::parseCount(argv[++i], 1, 256);
+            if (!n)
+                return badValue("--workers", argv[i],
+                                "an integer in 1..256");
+            workers = static_cast<int>(*n);
         } else if (arg == "--dist" && i + 1 < argc) {
             dist_mode = argv[++i];
             if (dist_mode != "off" && dist_mode != "async" &&
@@ -100,7 +117,10 @@ main(int argc, char **argv)
             game_name = arg;
             ++positional;
         } else if (positional == 1) {
-            steps = std::strtoull(arg.c_str(), nullptr, 10);
+            const auto n = cli::parseCount(argv[i]);
+            if (!n)
+                return badValue("steps", argv[i], "a step count");
+            steps = *n;
             ++positional;
         } else {
             std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());

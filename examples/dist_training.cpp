@@ -16,8 +16,9 @@
  *                            worker/stats: target)
  *     --port-file <path>     ps/launch: write the bound port here
  *     --steps <n>            total env steps (ps/launch; default 20000)
- *     --workers <n>          forked worker processes (launch; default 2)
- *     --agents <n>           A3C agents per worker (default 2)
+ *     --workers <n>          forked worker processes, 1..256 (launch;
+ *                            default 2)
+ *     --agents <n>           A3C agents per worker, 1..256 (default 2)
  *     --backend <name>       worker DNN backend: reference|fast|int8|
  *                            datapath (default fast)
  *     --name <s>             worker name (default worker)
@@ -76,6 +77,8 @@
 #include "rl/a3c.hh"
 #include "sim/fault.hh"
 
+#include "cli.hh"
+
 using namespace fa3c;
 
 namespace {
@@ -88,6 +91,17 @@ usage(const char *argv0)
                  "       (see the file comment for the option list)\n",
                  argv0);
     return 2;
+}
+
+/** Bound on --workers (processes forked) and --agents (threads each). */
+constexpr std::uint64_t kMaxProcs = 256;
+
+/** Name a malformed count, then print the usage message (exit 2). */
+int
+badValue(const char *argv0, const char *flag, const char *text)
+{
+    std::fprintf(stderr, "bad %s value: %s\n", flag, text);
+    return usage(argv0);
 }
 
 struct Options
@@ -503,11 +517,20 @@ main(int argc, char **argv)
         } else if (arg == "--port-file" && has_value) {
             opt.portFile = argv[++i];
         } else if (arg == "--steps" && has_value) {
-            opt.steps = std::strtoull(argv[++i], nullptr, 10);
+            const auto n = cli::parseCount(argv[++i]);
+            if (!n)
+                return badValue(argv[0], "--steps", argv[i]);
+            opt.steps = *n;
         } else if (arg == "--workers" && has_value) {
-            opt.workers = std::atoi(argv[++i]);
+            const auto n = cli::parseCount(argv[++i], 1, kMaxProcs);
+            if (!n)
+                return badValue(argv[0], "--workers", argv[i]);
+            opt.workers = static_cast<int>(*n);
         } else if (arg == "--agents" && has_value) {
-            opt.agents = std::atoi(argv[++i]);
+            const auto n = cli::parseCount(argv[++i], 1, kMaxProcs);
+            if (!n)
+                return badValue(argv[0], "--agents", argv[i]);
+            opt.agents = static_cast<int>(*n);
         } else if (arg == "--backend" && has_value) {
             opt.backend = argv[++i];
             if (opt.backend != "datapath" &&
