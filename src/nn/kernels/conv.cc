@@ -33,19 +33,19 @@ convForwardFast(const ConvSpec &spec, const float *in,
 
 void
 convBackwardFast(const ConvSpec &spec, const float *g_out,
-                 std::span<const float> wT, float *in_grad,
+                 std::span<const float> w, float *in_grad,
                  std::span<float> scratch)
 {
-    FA3C_ASSERT(wT.size() == spec.weightCount(), "convBackwardFast wT");
+    FA3C_ASSERT(w.size() == spec.weightCount(), "convBackwardFast w");
     FA3C_ASSERT(scratch.size() >= colSize(spec),
                 "convBackwardFast scratch");
     const int n = static_cast<int>(patchCount(spec));
     const int k = static_cast<int>(patchSize(spec));
 
-    // colGrad[I*K*K][OH*OW] = wT * g_out, then scatter-add.
+    // colGrad[I*K*K][OH*OW] = w^T * g_out, then scatter-add.
     std::fill_n(scratch.data(), colSize(spec), 0.0f);
-    gemmAcc(k, n, spec.outChannels, wT.data(), spec.outChannels,
-            g_out, n, scratch.data(), n);
+    gemmAccAT(k, n, spec.outChannels, w.data(), k, g_out, n,
+              scratch.data(), n);
     std::memset(in_grad, 0,
                 static_cast<std::size_t>(spec.inChannels) *
                     static_cast<std::size_t>(spec.inHeight) *

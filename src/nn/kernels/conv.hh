@@ -4,12 +4,10 @@
  * three computation types (FW, BW, GC) the golden model in
  * nn/layers.cc implements with direct loops.
  *
- * Weight layouts:
- *  - forward and gradient use the canonical [O][I*K*K] layout (the
- *    ParamSet "convN.w" buffer, viewed as a GEMM A/C matrix);
- *  - backward needs the transpose [I*K*K][O]; callers stage it once
- *    per parameter sync with kernels::transpose (FastCpuBackend does
- *    this in onParamSync).
+ * All three read or write the canonical [O][I*K*K] weight layout
+ * (the ParamSet "convN.w" buffer, viewed as a GEMM matrix): forward
+ * and gradient use it as the A/C matrix, and backward, whose A
+ * operand is its transpose [I*K*K][O], reads it through gemmAccAT.
  *
  * All kernels take a caller-provided scratch buffer of colSize(spec)
  * floats so per-call allocation never lands on the hot path. Results
@@ -37,13 +35,13 @@ void convForwardFast(const ConvSpec &spec, const float *in,
                      float *out, std::span<float> scratch);
 
 /**
- * Backward: in_grad = col2im(wT * g_out); in_grad is zeroed first.
+ * Backward: in_grad = col2im(w^T * g_out); in_grad is zeroed first.
  *
- * @param wT      Transposed weights [I*K*K][O] (staged by the caller).
+ * @param w       Canonical weights [O][I*K*K].
  * @param scratch At least colSize(spec) floats.
  */
 void convBackwardFast(const ConvSpec &spec, const float *g_out,
-                      std::span<const float> wT, float *in_grad,
+                      std::span<const float> w, float *in_grad,
                       std::span<float> scratch);
 
 /**

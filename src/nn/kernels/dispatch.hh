@@ -41,13 +41,19 @@ struct KernelOps {
     /** C[m x n] += A[m x k] * B[k x n], row-major (see gemm.hh). */
     void (*gemmAcc)(int m, int n, int k, const float *a, int lda,
                     const float *b, int ldb, float *c, int ldc);
-    /** C += A * B with B packed by gemmPackPanels (see gemm.hh). */
-    void (*gemmAccPanels)(int m, int n, int k, const float *a, int lda,
-                          const float *panels, float *c, int ldc);
+    /** C += at^T * B for a row-major at[k x m] (see gemm.hh). */
+    void (*gemmAccAT)(int m, int n, int k, const float *at, int ldat,
+                      const float *b, int ldb, float *c, int ldc);
+    /**
+     * C += A * bt^T for a row-major bt[n x k], read through the
+     * transposing load (see gemm.hh).
+     */
+    void (*gemmAccBT)(int m, int n, int k, const float *a, int lda,
+                      const float *bt, int ldbt, float *c, int ldc);
     /**
      * Small-N FC forward: y[s][o] = bias[o] + dot(x row s, w row o)
-     * over the canonical w[O][I] rows — no transpose or panel staging,
-     * which is what makes tiny output layers (fc4) profitable.
+     * over the canonical w[O][I] rows, which reads exactly the live
+     * weights of a tiny output layer (fc4).
      */
     void (*fcDotRows)(int batch, int outF, int inF, const float *x,
                       int ldx, const float *w, int ldw,

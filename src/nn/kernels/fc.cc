@@ -19,23 +19,21 @@ constexpr long long kMtFlopThreshold = 1LL << 24;
 } // namespace
 
 void
-fcForwardFastBatchPanels(const FcSpec &spec, int batch, const float *in,
-                         std::span<const float> wPanels,
-                         std::span<const float> b, float *out)
+fcForwardFastBatch(const FcSpec &spec, int batch, const float *in,
+                   std::span<const float> w, std::span<const float> b,
+                   float *out)
 {
-    FA3C_ASSERT(wPanels.size() ==
-                    gemmPanelSize(spec.outFeatures, spec.inFeatures),
-                "fcForwardFastBatchPanels wPanels");
-    FA3C_ASSERT(b.size() == spec.biasCount(),
-                "fcForwardFastBatchPanels b");
+    FA3C_ASSERT(w.size() == spec.weightCount(), "fcForwardFastBatch w");
+    FA3C_ASSERT(b.size() == spec.biasCount(), "fcForwardFastBatch b");
     const std::size_t o = static_cast<std::size_t>(spec.outFeatures);
+    const std::size_t i = static_cast<std::size_t>(spec.inFeatures);
     for (int s = 0; s < batch; ++s)
         std::memcpy(out + static_cast<std::size_t>(s) * o, b.data(),
                     o * sizeof(float));
     const long long work = static_cast<long long>(batch) *
                            spec.outFeatures * spec.inFeatures;
     const int strips =
-        (spec.outFeatures + kGemmPanelWidth - 1) / kGemmPanelWidth;
+        (spec.outFeatures + kGemmStripWidth - 1) / kGemmStripWidth;
     const int nt = kernelThreads();
     if (nt > 1 && batch >= 4 && strips >= 2 &&
         work >= kMtFlopThreshold) {
@@ -43,26 +41,23 @@ fcForwardFastBatchPanels(const FcSpec &spec, int batch, const float *in,
         // computed by exactly one task in the same order, so the
         // result is bit-identical to the single-thread call.
         const int tasks = std::min(nt, strips);
-        const std::size_t panelFloats =
-            static_cast<std::size_t>(spec.inFeatures) * kGemmPanelWidth;
         parallelFor(tasks, [&](int t) {
             const int s0 = strips * t / tasks;
             const int s1 = strips * (t + 1) / tasks;
-            const int j0 = s0 * kGemmPanelWidth;
+            const int j0 = s0 * kGemmStripWidth;
             const int j1 =
-                std::min(s1 * kGemmPanelWidth, spec.outFeatures);
-            gemmAccPanels(batch, j1 - j0, spec.inFeatures, in,
-                          spec.inFeatures,
-                          wPanels.data() + static_cast<std::size_t>(s0) *
-                                               panelFloats,
-                          out + static_cast<std::size_t>(j0),
-                          spec.outFeatures);
+                std::min(s1 * kGemmStripWidth, spec.outFeatures);
+            gemmAccBT(batch, j1 - j0, spec.inFeatures, in,
+                      spec.inFeatures,
+                      w.data() + static_cast<std::size_t>(j0) * i,
+                      spec.inFeatures, out + static_cast<std::size_t>(j0),
+                      spec.outFeatures);
         });
         return;
     }
-    gemmAccPanels(batch, spec.outFeatures, spec.inFeatures, in,
-                  spec.inFeatures, wPanels.data(), out,
-                  spec.outFeatures);
+    gemmAccBT(batch, spec.outFeatures, spec.inFeatures, in,
+              spec.inFeatures, w.data(), spec.inFeatures, out,
+              spec.outFeatures);
 }
 
 void

@@ -1,14 +1,13 @@
 #include "nn/kernels/gemm.hh"
 
-#include <algorithm>
-
 #include "nn/kernels/dispatch.hh"
 
 namespace fa3c::nn::kernels {
 
-// The ISA-specialized GEMM bodies (axpy and register-tile forms) live
-// in kernel_impl.inl, compiled once per dispatch target; this TU only
-// keeps the pure-data-movement helpers and the dispatching wrappers.
+// The ISA-specialized GEMM bodies (axpy, register-tile and
+// transposing-load forms) live in kernel_impl.inl, compiled once per
+// dispatch target; this TU only keeps the dispatching wrappers and
+// transpose().
 
 void
 gemmAcc(int m, int n, int k, const float *a, int lda, const float *b,
@@ -17,60 +16,18 @@ gemmAcc(int m, int n, int k, const float *a, int lda, const float *b,
     ops().gemmAcc(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
-std::size_t
-gemmPanelSize(int n, int k)
-{
-    const std::size_t strips =
-        (static_cast<std::size_t>(n) + kGemmPanelWidth - 1) /
-        kGemmPanelWidth;
-    return strips * static_cast<std::size_t>(k) * kGemmPanelWidth;
-}
-
-namespace {
-
-/**
- * The pack behind both public layouts: B[p][j] = b[p*sp + j*sj],
- * written strip after strip in one sequential pass. From B's
- * transpose (sp = 1) each source row is read along k as its own
- * prefetcher stream, so the pack runs near memcpy speed.
- */
 void
-packPanels(int n, int k, const float *b, std::size_t sp, std::size_t sj,
-           float *panels)
+gemmAccAT(int m, int n, int k, const float *at, int ldat, const float *b,
+          int ldb, float *c, int ldc)
 {
-    float *dst = panels;
-    for (int j0 = 0; j0 < n; j0 += kGemmPanelWidth) {
-        const int w = std::min(kGemmPanelWidth, n - j0);
-        const float *strip = b + static_cast<std::size_t>(j0) * sj;
-        for (int p = 0; p < k; ++p, dst += kGemmPanelWidth) {
-            const float *src = strip + static_cast<std::size_t>(p) * sp;
-            for (int j = 0; j < w; ++j)
-                dst[j] = src[static_cast<std::size_t>(j) * sj];
-            for (int j = w; j < kGemmPanelWidth; ++j)
-                dst[j] = 0.0f;
-        }
-    }
-}
-
-} // namespace
-
-void
-gemmPackPanels(int n, int k, const float *b, int ldb, float *panels)
-{
-    packPanels(n, k, b, static_cast<std::size_t>(ldb), 1, panels);
+    ops().gemmAccAT(m, n, k, at, ldat, b, ldb, c, ldc);
 }
 
 void
-gemmPackPanelsT(int n, int k, const float *bt, int ldbt, float *panels)
+gemmAccBT(int m, int n, int k, const float *a, int lda, const float *bt,
+          int ldbt, float *c, int ldc)
 {
-    packPanels(n, k, bt, 1, static_cast<std::size_t>(ldbt), panels);
-}
-
-void
-gemmAccPanels(int m, int n, int k, const float *a, int lda,
-              const float *panels, float *c, int ldc)
-{
-    ops().gemmAccPanels(m, n, k, a, lda, panels, c, ldc);
+    ops().gemmAccBT(m, n, k, a, lda, bt, ldbt, c, ldc);
 }
 
 void

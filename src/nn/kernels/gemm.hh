@@ -21,21 +21,24 @@
  * bit-identical across M and across both forms: single-sample and
  * batched calls see the same per-element FP order and rounding.
  *
- * gemmPackPanels/gemmAccPanels additionally support a pre-packed B
- * layout (column panels of NR contiguous floats per k step) so that a
- * B matrix that is reused across many calls — FC weights — is staged
- * once and then streamed sequentially instead of being gathered with
- * a large row stride (a 4 KiB-stride walk costs a TLB miss per k step
- * on wide layers); over panels the register tile runs at every M,
- * M = 1 included. gemmPackPanelsT builds the same panels straight
- * from B's transpose, for an FC layer the canonical W[O][I] block, so
- * no transposed copy is stored.
+ * gemmAccAT and gemmAccBT take one operand as its transpose, so a
+ * weight matrix is always read in its one canonical layout. gemmAccAT
+ * reads A from at[k][m] (conv backward's w^T from the canonical
+ * w[O][I*K*K]); the tiles broadcast one A scalar per (row, k), so it
+ * is only a strided read. gemmAccBT reads B from bt[n][k] (an FC
+ * layer's canonical W[O][I]) through a transposing load, the software
+ * form of FA3C's TLU: it loads square blocks of bt rows and
+ * transposes them in registers (16 x 16 on AVX-512, 8 x 8 on AVX2).
+ * Up to the tallest register tile's rows, one tile holds every C row
+ * of a strip for the whole k loop and takes the transposed registers
+ * directly; more rows share each transposed 16 x 32 block through
+ * L1. No transposed or packed copy of the weights is stored, and the
+ * per-element order is the same, so all three forms give
+ * bit-identical results on the same operands.
  */
 
 #ifndef FA3C_NN_KERNELS_GEMM_HH
 #define FA3C_NN_KERNELS_GEMM_HH
-
-#include <cstddef>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define FA3C_RESTRICT __restrict__
@@ -45,8 +48,8 @@
 
 namespace fa3c::nn::kernels {
 
-/** Column-panel width of the packed-B layout (floats). */
-constexpr int kGemmPanelWidth = 32;
+/** Column-strip width of the register tiles (floats). */
+constexpr int kGemmStripWidth = 32;
 
 /**
  * C[m x n] += A[m x k] * B[k x n], all row-major.
@@ -61,35 +64,22 @@ constexpr int kGemmPanelWidth = 32;
 void gemmAcc(int m, int n, int k, const float *a, int lda,
              const float *b, int ldb, float *c, int ldc);
 
-/** Floats needed by gemmPackPanels for a k x n B matrix. */
-std::size_t gemmPanelSize(int n, int k);
+/**
+ * C[m x n] += at^T * B[k x n], with A given as its row-major
+ * transpose at[k x m] (row stride @p ldat >= m). Bit-identical to
+ * gemmAcc on transpose(at).
+ */
+void gemmAccAT(int m, int n, int k, const float *at, int ldat,
+               const float *b, int ldb, float *c, int ldc);
 
 /**
- * Pack row-major B[k x n] (row stride @p ldb) into column panels:
- * panel p holds columns [p*W, p*W + W) as [k][W] contiguous floats
- * with W = kGemmPanelWidth; the last panel is zero-padded. Packing is
- * pure data movement, so gemmAccPanels results are bit-identical to
- * gemmAcc on the unpacked B.
+ * C[m x n] += A[m x k] * bt^T, with B given as its row-major
+ * transpose bt[n x k] (row stride @p ldbt >= k); for an FC layer bt
+ * is the canonical W[O][I]. Bit-identical to gemmAcc on
+ * transpose(bt), at every m.
  */
-void gemmPackPanels(int n, int k, const float *b, int ldb,
-                    float *panels);
-
-/**
- * gemmPackPanels of B[k x n] = bt^T, read from row-major bt[n x k]
- * (row stride @p ldbt) in one pass: column j of B is row j of bt.
- * For an FC layer bt is the canonical weight block W[O][I] (n = O,
- * k = I). Pure data movement; the output is bit-identical to
- * transpose() followed by gemmPackPanels, zero padding included.
- */
-void gemmPackPanelsT(int n, int k, const float *bt, int ldbt,
-                     float *panels);
-
-/**
- * C[m x n] += A[m x k] * B, with B pre-packed by gemmPackPanels.
- * Same accumulation order (increasing k per C element) as gemmAcc.
- */
-void gemmAccPanels(int m, int n, int k, const float *a, int lda,
-                   const float *panels, float *c, int ldc);
+void gemmAccBT(int m, int n, int k, const float *a, int lda,
+               const float *bt, int ldbt, float *c, int ldc);
 
 /** dst[cols x rows] = src[rows x cols]^T, both row-major dense. */
 void transpose(const float *src, int rows, int cols, float *dst);

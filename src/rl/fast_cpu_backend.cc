@@ -7,7 +7,6 @@
 
 #include "nn/kernels/conv.hh"
 #include "nn/kernels/fc.hh"
-#include "nn/kernels/gemm.hh"
 #include "nn/kernels/im2col.hh"
 #include "rl/kernel_timer.hh"
 #include "sim/logging.hh"
@@ -16,9 +15,7 @@ namespace fa3c::rl {
 
 FastCpuBackend::FastCpuBackend(const nn::A3cNetwork &net)
     : net_(net),
-      conv2WT_(net.conv2().weightCount()),
-      fc3Panels_(nn::kernels::gemmPanelSize(net.fc3().outFeatures,
-                                            net.fc3().inFeatures)),
+      fc4Small_(net.fc4().outFeatures < nn::kernels::kSmallFcMaxOut),
       colScratch_(std::max(nn::kernels::colSize(net.conv1()),
                            nn::kernels::colSize(net.conv2()))),
       gFc3Act_(tensor::Shape({net.fc3().outFeatures})),
@@ -33,44 +30,6 @@ FastCpuBackend::FastCpuBackend(const nn::A3cNetwork &net)
                                 net.conv1().outWidth()})),
       gConv1Pre_(gConv1Act_.shape())
 {
-    fc4Small_ = net.fc4().outFeatures < nn::kernels::kSmallFcMaxOut;
-    if (!fc4Small_)
-        fc4Panels_.resize(nn::kernels::gemmPanelSize(
-            net.fc4().outFeatures, net.fc4().inFeatures));
-}
-
-void
-FastCpuBackend::onParamSync(const nn::ParamSet &params)
-{
-    const nn::ConvSpec &c2 = net_.conv2();
-    const nn::FcSpec &f3 = net_.fc3();
-    const nn::FcSpec &f4 = net_.fc4();
-    nn::kernels::transpose(
-        params.view("conv2.w").data(), c2.outChannels,
-        static_cast<int>(nn::kernels::patchSize(c2)), conv2WT_.data());
-    // One panel image per FC layer, packed straight from the
-    // canonical rows and shared by single-sample and batched forward.
-    // A small FC4 head needs none: its forward runs the canonical-row
-    // dot kernel straight off the ParamSet.
-    nn::kernels::gemmPackPanelsT(f3.outFeatures, f3.inFeatures,
-                                 params.view("fc3.w").data(),
-                                 f3.inFeatures, fc3Panels_.data());
-    if (!fc4Small_)
-        nn::kernels::gemmPackPanelsT(f4.outFeatures, f4.inFeatures,
-                                     params.view("fc4.w").data(),
-                                     f4.inFeatures, fc4Panels_.data());
-    staged_ = true;
-}
-
-void
-FastCpuBackend::ensureStaged(const nn::ParamSet &params)
-{
-    // Trainers call onParamSync after every parameter sync; this
-    // covers direct use (tests, benches) that skips the sync protocol,
-    // and QuantCpuBackend, whose own onParamSync builds only the int8
-    // image, before its first fp32 backward.
-    if (!staged_)
-        FastCpuBackend::onParamSync(params);
 }
 
 void
@@ -104,13 +63,13 @@ FastCpuBackend::forward(const nn::ParamSet &params,
                         const tensor::Tensor &obs,
                         nn::A3cNetwork::Activations &act)
 {
-    ensureStaged(params);
     forwardConvs(params, obs, act);
     {
         KernelTimer t("fc_fw");
-        nn::kernels::fcForwardFastBatchPanels(
-            net_.fc3(), 1, act.conv2Flat.data().data(), fc3Panels_,
-            params.view("fc3.b"), act.fc3Pre.data().data());
+        nn::kernels::fcForwardFastBatch(
+            net_.fc3(), 1, act.conv2Flat.data().data(),
+            params.view("fc3.w"), params.view("fc3.b"),
+            act.fc3Pre.data().data());
     }
     nn::reluForward(act.fc3Pre, act.fc3Act);
     {
@@ -121,9 +80,10 @@ FastCpuBackend::forward(const nn::ParamSet &params,
                 params.view("fc4.w"), params.view("fc4.b"),
                 act.out.data().data());
         else
-            nn::kernels::fcForwardFastBatchPanels(
-                net_.fc4(), 1, act.fc3Act.data().data(), fc4Panels_,
-                params.view("fc4.b"), act.out.data().data());
+            nn::kernels::fcForwardFastBatch(
+                net_.fc4(), 1, act.fc3Act.data().data(),
+                params.view("fc4.w"), params.view("fc4.b"),
+                act.out.data().data());
     }
 }
 
@@ -133,7 +93,6 @@ FastCpuBackend::backward(const nn::ParamSet &params,
                          const tensor::Tensor &g_out,
                          nn::ParamSet &grads)
 {
-    ensureStaged(params);
     FA3C_ASSERT(g_out.numel() ==
                     static_cast<std::size_t>(net_.fc4().outFeatures),
                 "FastCpuBackend backward g_out size");
@@ -183,10 +142,9 @@ FastCpuBackend::backward(const nn::ParamSet &params,
     }
     {
         KernelTimer t("conv_bw");
-        nn::kernels::convBackwardFast(net_.conv2(),
-                                      gConv2Pre_.data().data(), conv2WT_,
-                                      gConv1Act_.data().data(),
-                                      colScratch_);
+        nn::kernels::convBackwardFast(
+            net_.conv2(), gConv2Pre_.data().data(), params.view("conv2.w"),
+            gConv1Act_.data().data(), colScratch_);
     }
     nn::reluBackward(act.conv1Pre, gConv1Act_, gConv1Pre_);
 
@@ -215,7 +173,6 @@ FastCpuBackend::forwardBatch(
         forward(params, *obs[0], *acts[0]);
         return;
     }
-    ensureStaged(params);
 
     const nn::FcSpec &f3 = net_.fc3();
     const nn::FcSpec &f4 = net_.fc4();
@@ -238,16 +195,17 @@ FastCpuBackend::forwardBatch(
                     in3 * sizeof(float));
     }
 
-    // FC3 as one M = batch GEMM over the same panel image forward()
-    // uses at M = 1: the weight matrix is streamed once for the whole
-    // batch instead of once per request. The GEMM accumulates every
-    // output element in the same order at any M, so results are
+    // FC3 as one M = batch GEMM over the same weights forward() reads
+    // at M = 1: the weight matrix is streamed once for the whole batch
+    // instead of once per request. The GEMM accumulates every output
+    // element in the same order at any M, so results are
     // bit-identical to forward().
     {
         KernelTimer t("fc_fw");
-        nn::kernels::fcForwardFastBatchPanels(
-            f3, bsz, batchIn_.data(), fc3Panels_, params.view("fc3.b"),
-            batchMid_.data());
+        nn::kernels::fcForwardFastBatch(f3, bsz, batchIn_.data(),
+                                        params.view("fc3.w"),
+                                        params.view("fc3.b"),
+                                        batchMid_.data());
     }
     for (int s = 0; s < bsz; ++s) {
         const float *pre =
@@ -271,9 +229,10 @@ FastCpuBackend::forwardBatch(
                 f4, bsz, batchAct_.data(), params.view("fc4.w"),
                 params.view("fc4.b"), batchOut_.data());
         else
-            nn::kernels::fcForwardFastBatchPanels(
-                f4, bsz, batchAct_.data(), fc4Panels_,
-                params.view("fc4.b"), batchOut_.data());
+            nn::kernels::fcForwardFastBatch(f4, bsz, batchAct_.data(),
+                                            params.view("fc4.w"),
+                                            params.view("fc4.b"),
+                                            batchOut_.data());
     }
     for (int s = 0; s < bsz; ++s)
         std::memcpy(acts[s]->out.data().data(),

@@ -10,15 +10,18 @@
  *  - convolutions go through an im2col patch matrix and a
  *    register-blocked axpy-form GEMM that autovectorizes without
  *    -ffast-math;
- *  - each FC layer has one staged image, 32-column panels of W^T
- *    packed straight from the canonical W[O][I] rows in onParamSync()
- *    (the stage-on-sync pattern of the FA3C datapath backend, whose
- *    TLU derives the second layout while loading); heads narrower
- *    than kernels::kSmallFcMaxOut need none. forward() runs the FC
- *    layers as an M = 1 GEMM over it and forwardBatch() as one
- *    M = batch GEMM, so the PAAC rollout, the GA3C predictor, and the
- *    serving scheduler read the FC weights once per batch instead of
- *    once per request, bit-identically to forward().
+ *  - the FC layers read the canonical W[O][I] rows of the ParamSet
+ *    through the GEMM's transposing load (gemmAccBT, the software
+ *    form of the FA3C datapath's TLU, which derives the second layout
+ *    while loading), and conv2's backward reads conv2.w through the
+ *    transposed-A GEMM, so no weight image is staged on a parameter
+ *    sync and forward/backward always see the current parameters.
+ *    forward() runs the FC layers as an M = 1 GEMM and
+ *    forwardBatch() as one M = batch GEMM, so the PAAC rollout, the
+ *    GA3C predictor, and the serving scheduler read the FC weights
+ *    once per batch instead of once per request, bit-identically to
+ *    forward(). Heads narrower than kernels::kSmallFcMaxOut run a
+ *    dot kernel over the same rows.
  *
  * Each instance owns its scratch buffers, so it is single-agent like
  * every other DnnBackend; trainers construct one per agent.
@@ -41,9 +44,6 @@ class FastCpuBackend : public DnnBackend
 
     const nn::A3cNetwork &network() const override { return net_; }
 
-    /** Restages the conv2 BW and FC forward images from @p params. */
-    void onParamSync(const nn::ParamSet &params) override;
-
     void forward(const nn::ParamSet &params, const tensor::Tensor &obs,
                  nn::A3cNetwork::Activations &act) override;
 
@@ -63,26 +63,14 @@ class FastCpuBackend : public DnnBackend
     // this class to inherit the fp32 training path (backward), and
     // shares the batch staging buffers.
 
-    /** Stage lazily when forward/backward arrive before any sync. */
-    void ensureStaged(const nn::ParamSet &params);
-
     const nn::A3cNetwork &net_;
 
-    // Staged weight images (rebuilt in onParamSync). Conv1 needs
-    // none: its forward uses the canonical [O][I*K*K] layout and
-    // backward into the game screen is never computed.
-    std::vector<float> conv2WT_;   ///< [I*K*K][O] for conv2 BW
-    std::vector<float> fc3Panels_; ///< W^T panels for fc3 FW
-    std::vector<float> fc4Panels_; ///< W^T panels for fc4 FW (wide heads)
-    bool staged_ = false;
     /**
-     * FC4 heads narrower than kernels::kSmallFcMaxOut skip the panel
-     * staging entirely and run the canonical-row dot-product kernel:
-     * the panel layout pads every strip to 32 columns, which for the
-     * 5-wide head wastes 6x the weight bandwidth (the cause of the
-     * old fc4 0.5x regression vs golden).
+     * FC4 heads narrower than kernels::kSmallFcMaxOut run the
+     * canonical-row dot-product kernel (fcForwardSmallBatch) instead
+     * of the GEMM.
      */
-    bool fc4Small_ = false;
+    const bool fc4Small_;
 
     // Per-agent scratch: one im2col/im2row patch matrix (sized for the
     // larger conv) plus the backward-pass gradient tensors, allocated

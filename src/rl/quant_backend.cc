@@ -53,9 +53,6 @@ QuantCpuBackend::QuantCpuBackend(const nn::A3cNetwork &net)
 void
 QuantCpuBackend::onParamSync(const nn::ParamSet &params)
 {
-    // The fp32 training images go stale; the base restages them
-    // lazily if backward() is ever called.
-    staged_ = false;
     quant_ = std::make_shared<const nn::QuantizedModel>(
         nn::quantizeModel(net_, params));
 }
@@ -71,7 +68,6 @@ QuantCpuBackend::onQuantSync(
         onParamSync(params);
         return;
     }
-    staged_ = false;
     quant_ = std::move(quant);
 }
 

@@ -112,13 +112,9 @@ TEST(NnKernels, ConvBackwardMatchesGolden)
             {spec.inChannels, spec.inHeight, spec.inWidth}));
         convBackward(spec, g_out, w, golden);
 
-        std::vector<float> wT(spec.weightCount());
-        kernels::transpose(w.data(), spec.outChannels,
-                           static_cast<int>(kernels::patchSize(spec)),
-                           wT.data());
         tensor::Tensor fast(golden.shape());
         std::vector<float> scratch(kernels::colSize(spec));
-        kernels::convBackwardFast(spec, g_out.data().data(), wT,
+        kernels::convBackwardFast(spec, g_out.data().data(), w,
                                   fast.data().data(), scratch);
         expectAllClose(fast.data(), golden.data(), kLooseUlp, kLooseAbs,
                        "conv backward");
@@ -154,47 +150,104 @@ TEST(NnKernels, ConvGradientMatchesGoldenAndAccumulates)
     }
 }
 
-TEST(NnKernels, PackPanelsTMatchesTransposeThenPack)
+TEST(NnKernels, GemmAccBTMatchesTransposeThenGemmAcc)
 {
-    // gemmPackPanelsT reads the canonical W[O][I] rows directly; its
-    // image must equal the two-step transpose + gemmPackPanels
-    // bit for bit. 70 x 33 has a 6-column tail strip and an odd k;
-    // 256 x 2592 is fc3 of the Table 1 net.
+    // gemmAccBT reads B through the transposing load; it must equal
+    // gemmAcc on the explicitly transposed matrix bit for bit, at
+    // every M (the few-rows tiles, then the blocked form's tile
+    // heights and remainders), on full and tail column strips (n = 7,
+    // 45, 70) and with a k tail (k = 33, 69). Strides are padded, and
+    // the padding of C must come back untouched. 256 x 2592 is fc3 of
+    // the Table 1 net.
     sim::Rng rng(12);
     const struct
     {
         int n, k;
-    } shapes[] = {{70, 33}, {256, 2592}};
-    for (const auto &sh : shapes) {
-        std::vector<float> w(static_cast<std::size_t>(sh.n) *
-                             static_cast<std::size_t>(sh.k));
-        randomize(std::span<float>(w), rng);
-        std::vector<float> wT(w.size());
-        kernels::transpose(w.data(), sh.n, sh.k, wT.data());
-        const std::size_t size = kernels::gemmPanelSize(sh.n, sh.k);
-        // Poison both outputs so the padding must be written, not
-        // inherited from a zero-initialized buffer.
-        std::vector<float> want(size, 7.0f), got(size, -7.0f);
-        kernels::gemmPackPanels(sh.n, sh.k, wT.data(), sh.n, want.data());
-        kernels::gemmPackPanelsT(sh.n, sh.k, w.data(), sh.k, got.data());
-        ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                              size * sizeof(float)),
-                  0)
-            << sh.n << " x " << sh.k;
-
-        const int tail = sh.n % kernels::kGemmPanelWidth;
-        if (tail == 0)
-            continue;
-        const float *last =
-            got.data() + size - static_cast<std::size_t>(sh.k) *
-                                    kernels::kGemmPanelWidth;
-        for (int p = 0; p < sh.k; ++p)
-            for (int j = tail; j < kernels::kGemmPanelWidth; ++j)
-                ASSERT_EQ(std::bit_cast<std::uint32_t>(
-                              last[p * kernels::kGemmPanelWidth + j]),
-                          0u)
-                    << "padding k=" << p << " column " << j;
+        std::vector<int> ms;
+    } cases[] = {
+        {7, 33, {}}, {32, 16, {}}, {45, 69, {}}, {70, 33, {}},
+        {256, 2592, {1, 2, 5, 16}},
+    };
+    for (const auto &cs : cases) {
+        std::vector<int> ms = cs.ms;
+        if (ms.empty())
+            for (int m = 1; m <= 17; ++m)
+                ms.push_back(m);
+        const int lda = cs.k + 3, ldbt = cs.k + 5, ldc = cs.n + 2;
+        std::vector<float> bt(static_cast<std::size_t>(cs.n) *
+                              static_cast<std::size_t>(ldbt));
+        randomize(std::span<float>(bt), rng);
+        // B = bt^T over the live k columns of each bt row.
+        std::vector<float> b(static_cast<std::size_t>(cs.k) *
+                             static_cast<std::size_t>(cs.n));
+        for (int j = 0; j < cs.n; ++j)
+            for (int p = 0; p < cs.k; ++p)
+                b[static_cast<std::size_t>(p) *
+                      static_cast<std::size_t>(cs.n) +
+                  static_cast<std::size_t>(j)] =
+                    bt[static_cast<std::size_t>(j) *
+                           static_cast<std::size_t>(ldbt) +
+                       static_cast<std::size_t>(p)];
+        for (const int m : ms) {
+            std::vector<float> a(static_cast<std::size_t>(m) *
+                                 static_cast<std::size_t>(lda));
+            randomize(std::span<float>(a), rng);
+            std::vector<float> want(static_cast<std::size_t>(m) *
+                                    static_cast<std::size_t>(ldc));
+            randomize(std::span<float>(want), rng);
+            std::vector<float> got = want;
+            kernels::gemmAcc(m, cs.n, cs.k, a.data(), lda, b.data(), cs.n,
+                             want.data(), ldc);
+            kernels::gemmAccBT(m, cs.n, cs.k, a.data(), lda, bt.data(),
+                               ldbt, got.data(), ldc);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << "m " << m << " n " << cs.n << " k " << cs.k;
+        }
     }
+}
+
+TEST(NnKernels, GemmAccATMatchesGemmAccOnTransposedA)
+{
+    // gemmAccAT reads A from its transpose at[k][m] (conv backward's
+    // canonical weights); it must equal gemmAcc on the explicitly
+    // transposed A bit for bit, through the axpy form (m < 4 or
+    // n < 32) and the register tiles, with column and k tails.
+    sim::Rng rng(14);
+    for (const int n : {5, 32, 81})
+        for (const int k : {1, 32, 33})
+            for (int m = 1; m <= 17; ++m) {
+                const int ldat = m + 3, ldc = n + 2;
+                std::vector<float> at(static_cast<std::size_t>(k) *
+                                      static_cast<std::size_t>(ldat));
+                randomize(std::span<float>(at), rng);
+                std::vector<float> a(static_cast<std::size_t>(m) *
+                                     static_cast<std::size_t>(k));
+                for (int r = 0; r < m; ++r)
+                    for (int p = 0; p < k; ++p)
+                        a[static_cast<std::size_t>(r) *
+                              static_cast<std::size_t>(k) +
+                          static_cast<std::size_t>(p)] =
+                            at[static_cast<std::size_t>(p) *
+                                   static_cast<std::size_t>(ldat) +
+                               static_cast<std::size_t>(r)];
+                std::vector<float> b(static_cast<std::size_t>(k) *
+                                     static_cast<std::size_t>(n));
+                randomize(std::span<float>(b), rng);
+                std::vector<float> want(static_cast<std::size_t>(m) *
+                                        static_cast<std::size_t>(ldc));
+                randomize(std::span<float>(want), rng);
+                std::vector<float> got = want;
+                kernels::gemmAcc(m, n, k, a.data(), k, b.data(), n,
+                                 want.data(), ldc);
+                kernels::gemmAccAT(m, n, k, at.data(), ldat, b.data(), n,
+                                   got.data(), ldc);
+                ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                      got.size() * sizeof(float)),
+                          0)
+                    << "m " << m << " n " << n << " k " << k;
+            }
 }
 
 TEST(NnKernels, FcForwardMatchesGolden)
@@ -210,14 +263,9 @@ TEST(NnKernels, FcForwardMatchesGolden)
         tensor::Tensor golden(tensor::Shape({spec.outFeatures}));
         fcForward(spec, in, w, b, golden);
 
-        std::vector<float> panels(
-            kernels::gemmPanelSize(spec.outFeatures, spec.inFeatures));
-        kernels::gemmPackPanelsT(spec.outFeatures, spec.inFeatures,
-                                 w.data(), spec.inFeatures,
-                                 panels.data());
         tensor::Tensor fast(golden.shape());
-        kernels::fcForwardFastBatchPanels(spec, 1, in.data().data(),
-                                          panels, b, fast.data().data());
+        kernels::fcForwardFastBatch(spec, 1, in.data().data(), w, b,
+                                    fast.data().data());
         expectAllClose(fast.data(), golden.data(), kTightUlp, kTightAbs,
                        "fc forward");
     }
@@ -233,11 +281,6 @@ TEST(NnKernels, FcForwardBatchBitExactWithSingle)
         std::vector<float> w(spec.weightCount()), b(spec.biasCount());
         randomize(std::span<float>(w), rng);
         randomize(std::span<float>(b), rng);
-        std::vector<float> panels(
-            kernels::gemmPanelSize(spec.outFeatures, spec.inFeatures));
-        kernels::gemmPackPanelsT(spec.outFeatures, spec.inFeatures,
-                                 w.data(), spec.inFeatures,
-                                 panels.data());
 
         const std::size_t in_f = static_cast<std::size_t>(spec.inFeatures);
         const std::size_t out_f =
@@ -247,21 +290,22 @@ TEST(NnKernels, FcForwardBatchBitExactWithSingle)
 
         std::vector<float> batched(static_cast<std::size_t>(batch) *
                                    out_f);
-        kernels::fcForwardFastBatchPanels(spec, batch, in.data(), panels,
-                                          b, batched.data());
+        kernels::fcForwardFastBatch(spec, batch, in.data(), w, b,
+                                    batched.data());
 
         // The batched GEMM must accumulate each output element in
         // exactly the per-sample order: results are bit-identical, not
-        // just close. The batch = 1 call over the panels must also
-        // equal the GEMV over an unpacked W^T, the layout they replace.
+        // just close. The batch = 1 call, which reads W^T through the
+        // transposing load, must also equal the GEMV over a stored
+        // W^T.
         std::vector<float> wT(spec.weightCount());
         kernels::transpose(w.data(), spec.outFeatures, spec.inFeatures,
                            wT.data());
         std::vector<float> single(out_f), gemv(out_f);
         for (int s = 0; s < batch; ++s) {
             const float *row = in.data() + static_cast<std::size_t>(s) * in_f;
-            kernels::fcForwardFastBatchPanels(spec, 1, row, panels, b,
-                                              single.data());
+            kernels::fcForwardFastBatch(spec, 1, row, w, b,
+                                        single.data());
             std::copy(b.begin(), b.end(), gemv.begin());
             kernels::gemmAcc(1, spec.outFeatures, spec.inFeatures, row,
                              spec.inFeatures, wT.data(),

@@ -143,8 +143,9 @@ TEST(NnQgemm, SimdTablesBitIdenticalToGeneric)
     bool compared_any = false;
 
     // Geometry chosen to hit every tile height (including the MR=8
-    // rows of the AVX-512 tier), full strips, and tail columns of
-    // both the 32-column fp32 panels and the 16-column int8 panels.
+    // rows of the AVX-512 tier), full strips, tail columns of both
+    // the 32-column fp32 strips and the 16-column int8 panels, and a
+    // k tail after two full steps of the transposing load.
     sim::Rng rng(23);
     const int m = 18, n = 70, k = 33;
     const auto a32 = randomMatrix(static_cast<std::size_t>(m) *
@@ -154,8 +155,6 @@ TEST(NnQgemm, SimdTablesBitIdenticalToGeneric)
                                     static_cast<std::size_t>(n),
                                 rng);
     const auto bias = randomMatrix(static_cast<std::size_t>(n), rng);
-    std::vector<float> fpanels(gemmPanelSize(n, k));
-    gemmPackPanels(n, k, b.data(), n, fpanels.data());
     const auto inv = columnInv(n, k, b);
     std::vector<std::int8_t> qpanels(qgemmPanelBytes(n, k));
     qgemmPackPanels(n, k, b.data(), n, inv.data(), qpanels.data());
@@ -186,13 +185,28 @@ TEST(NnQgemm, SimdTablesBitIdenticalToGeneric)
                      n);
         EXPECT_EQ(c_gen, c_isa) << isa->name << " gemmAcc";
 
+        // The same words as at[k][m] (ldat = m) and bt[n][k] (ldbt =
+        // k) for the transposed-operand forms.
         std::fill(c_gen.begin(), c_gen.end(), -0.5f);
         std::fill(c_isa.begin(), c_isa.end(), -0.5f);
-        gen->gemmAccPanels(m, n, k, a32.data(), k, fpanels.data(),
+        gen->gemmAccAT(m, n, k, a32.data(), m, b.data(), n, c_gen.data(),
+                       n);
+        isa->gemmAccAT(m, n, k, a32.data(), m, b.data(), n, c_isa.data(),
+                       n);
+        EXPECT_EQ(c_gen, c_isa) << isa->name << " gemmAccAT";
+
+        // m rows take the blocked form on every tier, 3 the few-rows
+        // register tiles.
+        for (const int rows : {m, 3}) {
+            std::fill(c_gen.begin(), c_gen.end(), 0.75f);
+            std::fill(c_isa.begin(), c_isa.end(), 0.75f);
+            gen->gemmAccBT(rows, n, k, a32.data(), k, b.data(), k,
                            c_gen.data(), n);
-        isa->gemmAccPanels(m, n, k, a32.data(), k, fpanels.data(),
+            isa->gemmAccBT(rows, n, k, a32.data(), k, b.data(), k,
                            c_isa.data(), n);
-        EXPECT_EQ(c_gen, c_isa) << isa->name << " gemmAccPanels";
+            EXPECT_EQ(c_gen, c_isa)
+                << isa->name << " gemmAccBT, " << rows << " rows";
+        }
 
         gen->fcDotRows(m, n, k, a32.data(), k, b.data(), k,
                        bias.data(), c_gen.data(), n);

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -165,6 +166,63 @@ TEST(FastCpuBackend, BackwardMatchesReference)
                        kGradUlp, kGradAbs, seg.name.c_str());
 }
 
+TEST(FastCpuBackend, ForwardAndBackwardReadCurrentParams)
+{
+    // FastCpu keeps no copy of the weights: after the parameters
+    // change in place, with no onParamSync, the next forward and
+    // backward must equal a fresh backend's on the new parameters word
+    // for word. Both nets run fc3's forward through the GEMM and
+    // conv2's backward through the transposed-A form; the Table 1 net
+    // adds its 8-strip fc3.
+    const auto sameBits = [](std::span<const float> got,
+                             std::span<const float> want) {
+        return got.size() == want.size() &&
+               std::memcmp(got.data(), want.data(),
+                           got.size() * sizeof(float)) == 0;
+    };
+    for (const nn::NetConfig &cfg :
+         {nn::NetConfig::tiny(4), nn::NetConfig::atari(4)}) {
+        SCOPED_TRACE(::testing::Message() << "fcSize " << cfg.fcSize);
+        const nn::A3cNetwork net(cfg);
+        sim::Rng rng(29);
+        nn::ParamSet params = net.makeParams();
+        net.initParams(params, rng);
+        const tensor::Tensor obs = randomObs(net, rng);
+        tensor::Tensor g_out(tensor::Shape({net.outSize()}));
+        randomize(g_out, rng);
+
+        FastCpuBackend used(net);
+        used.onParamSync(params);
+        nn::A3cNetwork::Activations act = net.makeActivations();
+        nn::ParamSet grads = net.makeParams();
+        used.forward(params, obs, act);
+        used.backward(params, act, g_out, grads);
+
+        net.initParams(params, rng);
+        grads.zero();
+        used.forward(params, obs, act);
+        used.backward(params, act, g_out, grads);
+
+        FastCpuBackend fresh(net);
+        fresh.onParamSync(params);
+        nn::A3cNetwork::Activations want_act = net.makeActivations();
+        nn::ParamSet want_grads = net.makeParams();
+        fresh.forward(params, obs, want_act);
+        fresh.backward(params, want_act, g_out, want_grads);
+
+        EXPECT_TRUE(sameBits(act.conv2Pre.data(), want_act.conv2Pre.data()))
+            << "conv2Pre";
+        EXPECT_TRUE(sameBits(act.fc3Pre.data(), want_act.fc3Pre.data()))
+            << "fc3Pre";
+        EXPECT_TRUE(sameBits(act.out.data(), want_act.out.data()))
+            << "out";
+        for (const auto &seg : grads.segments())
+            EXPECT_TRUE(sameBits(grads.view(seg.name),
+                                 want_grads.view(seg.name)))
+                << seg.name;
+    }
+}
+
 TEST(FastCpuBackend, Table1PassesMatchRecordedHashes)
 {
     // Pins one FastCpu forward and one backward on the Table 1 Pong
@@ -219,7 +277,7 @@ TEST(FastCpuBackend, ForwardBatchBitExactWithSingleForward)
     // Nets that reach every FC forward path: the tiny net (fc3 of two
     // full strips, small fc4 head), the Table 1 net, fcSize 70 (a
     // 6-column fc3 tail strip), and a 41-wide head that takes the fc4
-    // panel path with a 9-column tail. Batch sizes 1..17 cover the
+    // GEMM path with a 9-column tail. Batch sizes 1..17 cover the
     // lone-request route and every register-tile height and remainder.
     auto wide_head = nn::NetConfig::tiny(40);
     wide_head.fcSize = 70;
@@ -261,7 +319,7 @@ TEST(FastCpuBackend, ForwardBatchBitExactWithSingleForward)
             batched.forwardBatch(params, obs_ptrs, act_ptrs);
 
             // The batched FC GEMM accumulates per element in the
-            // single-sample order over the same panel image, so every
+            // single-sample order over the same weights, so every
             // activation must be bit-identical.
             for (int s = 0; s < batch; ++s) {
                 const auto &ref = want[static_cast<std::size_t>(s)];
