@@ -77,11 +77,11 @@ utilGauges()
 void
 publishUtilization(obs::MetricsRegistry &m)
 {
-    // The telemetry registration is deliberately leaked: it must
-    // outlive every measurement, and the server handles collectors
-    // registered for the life of the process.
-    static obs::TelemetryRegistration *reg =
-        new obs::TelemetryRegistration(
+    auto &g = utilGauges();
+    // One registration for the life of the process, so it outlives
+    // every measurement. The gauges and obs::telemetry()'s server are
+    // constructed before it, so both are destroyed after it.
+    static const obs::TelemetryRegistration reg(
         obs::telemetry(),
         [](obs::PromWriter &w) {
             auto &g = utilGauges();
@@ -107,8 +107,6 @@ publishUtilization(obs::MetricsRegistry &m)
                         "last measurement");
         },
         "utilization");
-    (void)reg;
-    auto &g = utilGauges();
     if (m.enabled()) {
         const double infer =
             g.cuInference.load(std::memory_order_relaxed);
@@ -309,46 +307,6 @@ runTraining(const TrainingRunConfig &cfg)
         result.finalScore = result.curve.back().score;
     }
     return result;
-}
-
-std::uint64_t
-stepsToScore(const TrainingRunConfig &cfg, double target,
-             std::uint64_t max_steps)
-{
-    const nn::A3cNetwork net(cfg.net);
-    auto backend_factory =
-        [&](int) -> std::unique_ptr<rl::DnnBackend> {
-        return std::make_unique<rl::ReferenceBackend>(net);
-    };
-    auto session_factory = [&](int agent_id) {
-        env::SessionConfig session_cfg;
-        session_cfg.frameStack = cfg.net.inChannels;
-        session_cfg.obsHeight = cfg.net.inHeight;
-        session_cfg.obsWidth = cfg.net.inWidth;
-        return std::make_unique<env::AtariSession>(
-            env::makeEnvironment(cfg.game,
-                                 cfg.a3c.seed * 977 +
-                                     static_cast<std::uint64_t>(
-                                         agent_id)),
-            session_cfg,
-            cfg.a3c.seed * 31 + static_cast<std::uint64_t>(agent_id));
-    };
-
-    rl::A3cConfig a3c = cfg.a3c;
-    a3c.totalSteps = max_steps;
-    rl::A3cTrainer trainer(net, a3c, backend_factory, session_factory);
-    std::uint64_t reached_at = max_steps;
-    trainer.run([&]() {
-        if (trainer.scores().size() < cfg.scoreWindow)
-            return false;
-        if (trainer.scores().recentMean(cfg.scoreWindow) >= target) {
-            reached_at = std::min(reached_at,
-                                  trainer.globalParams().globalSteps());
-            return true;
-        }
-        return false;
-    });
-    return reached_at;
 }
 
 } // namespace fa3c::harness

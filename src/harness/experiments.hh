@@ -108,14 +108,6 @@ struct TrainingRunResult
  * curve. This actually trains the network. */
 TrainingRunResult runTraining(const TrainingRunConfig &cfg);
 
-/**
- * Run training until the moving-average score reaches @p target or
- * @p max_steps is hit; returns the steps consumed (the Section 3.2
- * batch-size experiment).
- */
-std::uint64_t stepsToScore(const TrainingRunConfig &cfg, double target,
-                           std::uint64_t max_steps);
-
 } // namespace fa3c::harness
 
 #endif // FA3C_HARNESS_EXPERIMENTS_HH

@@ -356,14 +356,12 @@ A3cTrainer::run(std::function<bool()> stop_early)
 
     if (!cfg_.async) {
         // Deterministic round-robin: agents take turns, one routine
-        // each. Useful for tests and for bit-exact replays.
-        while (!should_stop()) {
-            for (auto &agent : agents_) {
-                agent->runRoutine();
-                maybeCheckpoint(/*include_agent_state=*/true);
-                if (should_stop())
-                    break;
-            }
+        // each, and the stop check runs once before every routine.
+        // Useful for tests and for bit-exact replays.
+        for (std::size_t i = 0; !agents_.empty() && !should_stop();
+             i = (i + 1) % agents_.size()) {
+            agents_[i]->runRoutine();
+            maybeCheckpoint(/*include_agent_state=*/true);
         }
     } else {
         std::vector<std::thread> threads;

@@ -291,6 +291,29 @@ TEST(A3cTrainer, SynchronousRunIsDeterministic)
     EXPECT_FLOAT_EQ(nn::ParamSet::maxAbsDiff(a, b), 0.0f);
 }
 
+TEST(A3cTrainer, SyncRunChecksStopEarlyOncePerRoutine)
+{
+    // Round-robin mode asks stop_early once before each routine, so a
+    // callback that stops on its sixth call ends the run after five
+    // routines (one update each), including the round boundary after
+    // the second and fourth.
+    const nn::NetConfig net_cfg = nn::NetConfig::tiny(3);
+    nn::A3cNetwork net(net_cfg);
+    A3cConfig cfg;
+    cfg.numAgents = 2;
+    cfg.totalSteps = 1'000'000;
+    cfg.async = false;
+    cfg.seed = 4;
+    A3cTrainer trainer(
+        net, cfg,
+        [&net](int) { return std::make_unique<ReferenceBackend>(net); },
+        pongSessions(net_cfg, 13));
+    int calls = 0;
+    trainer.run([&calls] { return ++calls > 5; });
+    EXPECT_EQ(trainer.globalParams().version(), 5u);
+    EXPECT_EQ(calls, 6);
+}
+
 TEST(A3cTrainer, AsyncRunMakesProgressAndLogsEpisodes)
 {
     const nn::NetConfig net_cfg = nn::NetConfig::tiny(3);
@@ -359,10 +382,11 @@ TEST(A3cTrainer, ParametersChangeDuringTraining)
 
 TEST(A3cTrainer, FastCpuSyncRunMatchesRecordedTrajectory)
 {
-    // Pins the whole FastCpu routine (weight staging, FW, BW, GC, grad
-    // clipping, shared RMSProp) word for word. The constants were
-    // recorded while FC forward still ran over a transposed wT copy
-    // and RMSProp was a scalar loop; the panel image and the
+    // Pins the whole FastCpu routine (FW, BW, GC, grad clipping,
+    // shared RMSProp) word for word. The constants were recorded
+    // while FC forward still ran over a transposed wT copy and RMSProp
+    // was a scalar loop; the staged panel image that replaced the
+    // copy, the transposing load that replaced the image and the
     // vectorized update are bit-identical rewrites, and every kernel
     // ISA tier (FA3C_KERNELS_ISA=generic|avx2|avx512) must match too.
     // fcSize 70 adds a 6-column tail strip to fc3 and an odd k to fc4.

@@ -487,7 +487,7 @@ TEST(A3cCheckpoint, SynchronousResumeIsBitExact)
                         pongSessions(net_cfg, 21));
     straight.run(afterRoutines(12));
 
-    // Interrupted: 6 routines (a whole round-robin round for 2
+    // Interrupted: 6 routines (three whole round-robin rounds for 2
     // agents), checkpoint, restore into a *fresh* trainer, 6 more.
     A3cTrainer before(net, cfg, referenceBackends(net),
                       pongSessions(net_cfg, 21));
@@ -627,7 +627,7 @@ constexpr std::uint64_t kSignalBudget = 2000;
 /**
  * Death-test child: install the training signal handlers, then run a
  * sync trainer with a checkpoint path whose stop_early raises @p sig
- * on its sixth call, a few routines in. @return 0 when the run and
+ * on its sixth call, after the fifth routine. @return 0 when the run and
  * its file behave as @p sig asks: SIGINT/SIGTERM stop the run within
  * one routine, below the budget, with the stopping step on file;
  * SIGUSR1 writes an image at the next routine boundary and the run
