@@ -10,14 +10,6 @@
 
 namespace fa3c::nn::kernels {
 
-namespace {
-
-// Multiply-add count below which the fork-join split costs more than
-// it saves; wide-net batched layers clear it, per-agent GEMVs do not.
-constexpr long long kMtFlopThreshold = 1LL << 24;
-
-} // namespace
-
 void
 fcForwardFastBatch(const FcSpec &spec, int batch, const float *in,
                    std::span<const float> w, std::span<const float> b,
@@ -30,17 +22,15 @@ fcForwardFastBatch(const FcSpec &spec, int batch, const float *in,
     for (int s = 0; s < batch; ++s)
         std::memcpy(out + static_cast<std::size_t>(s) * o, b.data(),
                     o * sizeof(float));
-    const long long work = static_cast<long long>(batch) *
-                           spec.outFeatures * spec.inFeatures;
     const int strips =
         (spec.outFeatures + kGemmStripWidth - 1) / kGemmStripWidth;
-    const int nt = kernelThreads();
-    if (nt > 1 && batch >= 4 && strips >= 2 &&
-        work >= kMtFlopThreshold) {
+    const int tasks = stripTasks(batch, strips,
+                                 static_cast<long long>(batch) *
+                                     spec.outFeatures * spec.inFeatures);
+    if (tasks > 1) {
         // Split by column strips: each output element is still
         // computed by exactly one task in the same order, so the
         // result is bit-identical to the single-thread call.
-        const int tasks = std::min(nt, strips);
         parallelFor(tasks, [&](int t) {
             const int s0 = strips * t / tasks;
             const int s1 = strips * (t + 1) / tasks;

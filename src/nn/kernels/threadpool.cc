@@ -1,5 +1,6 @@
 #include "nn/kernels/threadpool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -12,6 +13,9 @@
 namespace fa3c::nn::kernels {
 
 namespace {
+
+/// Multiply-adds each pool task must carry to repay its handoff.
+constexpr long long kTaskMinMacs = 1LL << 19;
 
 int
 resolveThreads()
@@ -194,6 +198,21 @@ parallelFor(int tasks, const std::function<void(int)> &fn)
         return;
     }
     pool().run(tasks, fn);
+}
+
+int
+splitTasks(long long macs, int parts)
+{
+    const long long tasks =
+        std::min<long long>(std::min(kernelThreads(), parts),
+                            macs / kTaskMinMacs);
+    return static_cast<int>(std::max(tasks, 1LL));
+}
+
+int
+stripTasks(int batch, int strips, long long macs)
+{
+    return batch < 2 ? 1 : splitTasks(macs, strips);
 }
 
 } // namespace fa3c::nn::kernels

@@ -27,22 +27,6 @@ actScale(const float *x, std::size_t n)
     return {m / 127.0f, m > 0.0f ? 127.0f / m : 0.0f};
 }
 
-/** Work below this many MACs keeps a batched FC GEMM on one thread. */
-constexpr long long kMtFlopThreshold = 1LL << 24;
-
-/**
- * Strip-level task count for a batched quantized GEMM: same gate as
- * the fp32 batched FC (pool width, batch, strips, total work).
- */
-int
-mtTasks(int bsz, int strips, long long work)
-{
-    const int nt = nn::kernels::kernelThreads();
-    if (nt <= 1 || bsz < 4 || strips < 2 || work < kMtFlopThreshold)
-        return 1;
-    return std::min(nt, strips);
-}
-
 } // namespace
 
 QuantCpuBackend::QuantCpuBackend(const nn::A3cNetwork &net)
@@ -82,7 +66,8 @@ void
 QuantCpuBackend::convLayerInt8(const nn::ConvSpec &spec,
                                const nn::QuantizedModel::Int8Panels &qw,
                                std::span<const float> bias,
-                               const float *in, float *outPre)
+                               const float *in, float *outPre,
+                               TrunkScratch &scratch)
 {
     KernelTimer t("conv_fw_q8");
     const int O = spec.outChannels;
@@ -93,22 +78,22 @@ QuantCpuBackend::convLayerInt8(const nn::ConvSpec &spec,
                                 static_cast<std::size_t>(spec.inWidth);
 
     const ActScale s = actScale(in, inCount);
-    img8_.resize(inCount);
+    scratch.img8.resize(inCount);
     nn::kernels::quantizeRowU(static_cast<int>(inCount), in, s.inv,
-                              img8_.data());
+                              scratch.img8.data());
 
     const std::size_t stride =
         static_cast<std::size_t>(nn::kernels::qrowStride(taps));
-    rows8_.resize(static_cast<std::size_t>(pos) * stride);
-    nn::kernels::im2row8(spec, img8_.data(), rows8_.data());
+    scratch.rows8.resize(static_cast<std::size_t>(pos) * stride);
+    nn::kernels::im2row8(spec, scratch.img8.data(), scratch.rows8.data());
 
     // acc[pos][O] = rows8 * wT panels, exact int32.
-    acc32_.assign(static_cast<std::size_t>(pos) *
-                      static_cast<std::size_t>(O),
-                  0);
-    nn::kernels::qgemmAccPanels(pos, O, taps, rows8_.data(),
+    std::vector<std::int32_t> &acc = scratch.acc32;
+    acc.assign(static_cast<std::size_t>(pos) * static_cast<std::size_t>(O),
+               0);
+    nn::kernels::qgemmAccPanels(pos, O, taps, scratch.rows8.data(),
                                 static_cast<int>(stride),
-                                qw.panels.data(), acc32_.data(), O);
+                                qw.panels.data(), acc.data(), O);
 
     // Dequantize and transpose to the canonical [O][OH*OW] map.
     for (int o = 0; o < O; ++o) {
@@ -117,28 +102,29 @@ QuantCpuBackend::convLayerInt8(const nn::ConvSpec &spec,
         float *dst = outPre + static_cast<std::size_t>(o) *
                                   static_cast<std::size_t>(pos);
         for (int p = 0; p < pos; ++p)
-            dst[p] =
-                static_cast<float>(
-                    acc32_[static_cast<std::size_t>(p) *
-                               static_cast<std::size_t>(O) +
-                           static_cast<std::size_t>(o)]) *
-                    so +
-                bo;
+            dst[p] = static_cast<float>(
+                         acc[static_cast<std::size_t>(p) *
+                                 static_cast<std::size_t>(O) +
+                             static_cast<std::size_t>(o)]) *
+                         so +
+                     bo;
     }
 }
 
 void
 QuantCpuBackend::convTrunkInt8(const nn::ParamSet &params,
                                const tensor::Tensor &obs,
-                               nn::A3cNetwork::Activations &act)
+                               nn::A3cNetwork::Activations &act,
+                               TrunkScratch &scratch)
 {
     act.input = obs;
     convLayerInt8(net_.conv1(), quant_->conv1, params.view("conv1.b"),
-                  act.input.data().data(), act.conv1Pre.data().data());
+                  act.input.data().data(), act.conv1Pre.data().data(),
+                  scratch);
     nn::reluForward(act.conv1Pre, act.conv1Act);
     convLayerInt8(net_.conv2(), quant_->conv2, params.view("conv2.b"),
-                  act.conv1Act.data().data(),
-                  act.conv2Pre.data().data());
+                  act.conv1Act.data().data(), act.conv2Pre.data().data(),
+                  scratch);
     nn::reluForward(act.conv2Pre, act.conv2Act);
     std::copy(act.conv2Act.data().begin(), act.conv2Act.data().end(),
               act.conv2Flat.data().begin());
@@ -182,8 +168,11 @@ QuantCpuBackend::fcBatchInt8(const nn::FcSpec &spec,
     const int strips =
         (outF + nn::kernels::kQuantPanelWidth - 1) /
         nn::kernels::kQuantPanelWidth;
-    const long long work = static_cast<long long>(bsz) * outF * inF;
-    const int tasks = mtTasks(bsz, strips, work);
+    // The qgemm runs 4-7x the fp32 GEMM's multiply-adds per second
+    // (bench_nn_kernels' fc3 rows), so its work counts a quarter in
+    // the shared gate.
+    const int tasks = nn::kernels::stripTasks(
+        bsz, strips, static_cast<long long>(bsz) * outF * inF / 4);
     const std::size_t stripBytes =
         static_cast<std::size_t>(nn::kernels::kQuantPanelWidth) * stride;
     nn::kernels::parallelFor(tasks, [&](int task) {
@@ -326,14 +315,17 @@ QuantCpuBackend::forwardBatch(
     const std::size_t in3 =
         static_cast<std::size_t>(net_.fc3().inFeatures);
     batchIn_.resize(static_cast<std::size_t>(bsz) * in3);
-    for (int s = 0; s < bsz; ++s) {
-        convTrunkInt8(params, *obs[static_cast<std::size_t>(s)],
-                      *acts[static_cast<std::size_t>(s)]);
-        std::memcpy(
-            batchIn_.data() + static_cast<std::size_t>(s) * in3,
-            acts[static_cast<std::size_t>(s)]->conv2Flat.data().data(),
-            in3 * sizeof(float));
-    }
+    // The int8 trunks split by sample like FastCpu's fp32 ones, each
+    // task on its own scratch.
+    trunks_.resize(std::max(trunks_.size(),
+                            static_cast<std::size_t>(sampleTasks(bsz))));
+    splitSamples(bsz, [&](int task, int s) {
+        const auto i = static_cast<std::size_t>(s);
+        convTrunkInt8(params, *obs[i], *acts[i],
+                      trunks_[static_cast<std::size_t>(task)]);
+        std::memcpy(batchIn_.data() + i * in3,
+                    acts[i]->conv2Flat.data().data(), in3 * sizeof(float));
+    });
     fcStack(params, bsz, acts);
 }
 

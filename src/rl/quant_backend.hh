@@ -10,6 +10,11 @@
  * im2row/qgemm pipeline; fc3 runs the batched qgemm; a small fc4 head
  * runs int8 dot products over canonical rows.
  *
+ * forwardBatch splits the batch's int8 conv trunks across the kernel
+ * pool by sample, through the same helper and with the same ranges
+ * as FastCpuBackend, each task on its own int8 scratch; fc3's qgemm
+ * splits by panel strips under the shared kernels::stripTasks gate.
+ *
  * The image arrives either pre-built via onQuantSync (serving:
  * ModelRegistry quantizes once per publish and shares it across
  * workers) or is derived locally in onParamSync (trainers). Training
@@ -60,6 +65,14 @@ class QuantCpuBackend : public FastCpuBackend
         override;
 
   private:
+    /** Int8 scratch of one conv-trunk task. */
+    struct TrunkScratch
+    {
+        std::vector<std::int8_t> img8;   ///< quantized input feature map
+        std::vector<std::int8_t> rows8;  ///< int8 patch rows (im2row8)
+        std::vector<std::int32_t> acc32; ///< integer accumulators
+    };
+
     /** Quantize locally when forward arrives before any sync. */
     void ensureQuant(const nn::ParamSet &params);
 
@@ -67,12 +80,13 @@ class QuantCpuBackend : public FastCpuBackend
     void convLayerInt8(const nn::ConvSpec &spec,
                        const nn::QuantizedModel::Int8Panels &qw,
                        std::span<const float> bias, const float *in,
-                       float *outPre);
+                       float *outPre, TrunkScratch &scratch);
 
     /** Int8 conv trunk writing the standard activation tensors. */
     void convTrunkInt8(const nn::ParamSet &params,
                        const tensor::Tensor &obs,
-                       nn::A3cNetwork::Activations &act);
+                       nn::A3cNetwork::Activations &act,
+                       TrunkScratch &scratch);
 
     /** Batched int8 FC: out[s][o] = deq(qgemm) + bias[o]. */
     void fcBatchInt8(const nn::FcSpec &spec,
@@ -93,9 +107,8 @@ class QuantCpuBackend : public FastCpuBackend
     std::shared_ptr<const nn::QuantizedModel> quant_;
 
     // Int8 scratch (per-backend, like the fp32 scratch in the base).
-    std::vector<std::int8_t> img8_;  ///< quantized input feature map
-    std::vector<std::int8_t> rows8_; ///< int8 patch rows (im2row8)
-    std::vector<std::int32_t> acc32_; ///< integer accumulators
+    std::vector<TrunkScratch> trunks_; ///< one per conv-trunk task
+    std::vector<std::int32_t> acc32_;  ///< FC integer accumulators
     std::vector<std::int8_t> qrows_; ///< quantized activation rows
     std::vector<float> sx_;          ///< per-sample activation scales
 };

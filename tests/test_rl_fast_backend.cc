@@ -6,12 +6,14 @@
  * config backend field, and checkpoint compatibility.
  */
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -76,6 +78,36 @@ hashWords(std::span<const float> words)
         }
     }
     return h;
+}
+
+/** True when @p got and @p want hold the same words bit for bit. */
+bool
+sameBits(std::span<const float> got, std::span<const float> want)
+{
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(),
+                       got.size() * sizeof(float)) == 0;
+}
+
+/**
+ * Hashes of one FastCpu backward on the Table 1 Pong net (params and
+ * observation from sim::Rng(43), then g_out; see
+ * Table1PassesMatchRecordedHashes), per gradient segment.
+ */
+const std::map<std::string, std::uint64_t> &
+table1GradHashes()
+{
+    static const std::map<std::string, std::uint64_t> hashes = {
+        {"conv1.w", 0x74d5ac15a7059948ull},
+        {"conv1.b", 0x6d09e4312e025b66ull},
+        {"conv2.w", 0x3de13233f8a3ebcbull},
+        {"conv2.b", 0x191b939d0fb070c6ull},
+        {"fc3.w", 0x508847f280a1634bull},
+        {"fc3.b", 0xc6840a72115ea941ull},
+        {"fc4.w", 0xd9d96f2b2c8a6adfull},
+        {"fc4.b", 0x4216f7a3524df9c4ull},
+    };
+    return hashes;
 }
 
 /** Sample count of every nn.kernel.* histogram in the registry. */
@@ -174,12 +206,6 @@ TEST(FastCpuBackend, ForwardAndBackwardReadCurrentParams)
     // for word. Both nets run fc3's forward through the GEMM and
     // conv2's backward through the transposed-A form; the Table 1 net
     // adds its 8-strip fc3.
-    const auto sameBits = [](std::span<const float> got,
-                             std::span<const float> want) {
-        return got.size() == want.size() &&
-               std::memcmp(got.data(), want.data(),
-                           got.size() * sizeof(float)) == 0;
-    };
     for (const nn::NetConfig &cfg :
          {nn::NetConfig::tiny(4), nn::NetConfig::atari(4)}) {
         SCOPED_TRACE(::testing::Message() << "fcSize " << cfg.fcSize);
@@ -256,16 +282,7 @@ TEST(FastCpuBackend, Table1PassesMatchRecordedHashes)
     randomize(g_out, rng);
     nn::ParamSet grads = net.makeParams();
     fast.backward(params, act, g_out, grads);
-    const std::map<std::string, std::uint64_t> want = {
-        {"conv1.w", 0x74d5ac15a7059948ull},
-        {"conv1.b", 0x6d09e4312e025b66ull},
-        {"conv2.w", 0x3de13233f8a3ebcbull},
-        {"conv2.b", 0x191b939d0fb070c6ull},
-        {"fc3.w", 0x508847f280a1634bull},
-        {"fc3.b", 0xc6840a72115ea941ull},
-        {"fc4.w", 0xd9d96f2b2c8a6adfull},
-        {"fc4.b", 0x4216f7a3524df9c4ull},
-    };
+    const std::map<std::string, std::uint64_t> &want = table1GradHashes();
     ASSERT_EQ(grads.segments().size(), want.size());
     for (const auto &seg : grads.segments())
         EXPECT_EQ(hashWords(grads.view(seg.name)), want.at(seg.name))
@@ -345,6 +362,86 @@ TEST(FastCpuBackend, ForwardBatchBitExactWithSingleForward)
                         << where() << ", conv2Flat " << i;
             }
         }
+    }
+}
+
+TEST(FastCpuBackend, ConcurrentCallersMatchSingleThreadResults)
+{
+    // Two backends run the pool-split passes at once, as two training
+    // agents or two serve workers do: whichever call takes the kernel
+    // pool splits across it, and the other runs its tasks inline.
+    // Every backward must still give the recorded Table 1 hashes and
+    // every batch of 3 the single-sample forward()'s activations, for
+    // FastCpu and for the int8 backend (its own forward, FastCpu's
+    // backward).
+    const nn::A3cNetwork net(
+        nn::NetConfig::atari(env::makePong(0)->numActions()));
+    sim::Rng rng(43);
+    nn::ParamSet params = net.makeParams();
+    net.initParams(params, rng);
+    const tensor::Tensor obs = randomObs(net, rng);
+    nn::A3cNetwork::Activations act = net.makeActivations();
+    FastCpuBackend(net).forward(params, obs, act);
+    tensor::Tensor g_out(tensor::Shape({net.outSize()}));
+    randomize(g_out, rng);
+    constexpr int kBatch = 3;
+    std::vector<tensor::Tensor> batch_obs;
+    for (int s = 0; s < kBatch; ++s)
+        batch_obs.push_back(randomObs(net, rng));
+    std::vector<const tensor::Tensor *> obs_ptrs;
+    for (const auto &o : batch_obs)
+        obs_ptrs.push_back(&o);
+
+    for (const BackendKind kind : {BackendKind::FastCpu, BackendKind::Int8}) {
+        std::vector<nn::A3cNetwork::Activations> want;
+        {
+            const auto single = makeDnnBackend(kind, net);
+            single->onParamSync(params);
+            for (const auto &o : batch_obs) {
+                want.push_back(net.makeActivations());
+                single->forward(params, o, want.back());
+            }
+        }
+        constexpr int kThreads = 2;
+        constexpr int kRounds = 12;
+        std::atomic<int> bad_backward{0};
+        std::atomic<int> bad_batch{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&] {
+                const auto backend = makeDnnBackend(kind, net);
+                backend->onParamSync(params);
+                nn::ParamSet grads = net.makeParams();
+                std::vector<nn::A3cNetwork::Activations> acts;
+                std::vector<nn::A3cNetwork::Activations *> act_ptrs;
+                for (int s = 0; s < kBatch; ++s)
+                    acts.push_back(net.makeActivations());
+                for (auto &a : acts)
+                    act_ptrs.push_back(&a);
+                for (int round = 0; round < kRounds; ++round) {
+                    grads.zero();
+                    backend->backward(params, act, g_out, grads);
+                    for (const auto &seg : grads.segments())
+                        if (hashWords(grads.view(seg.name)) !=
+                            table1GradHashes().at(seg.name))
+                            bad_backward.fetch_add(1);
+                    backend->forwardBatch(params, obs_ptrs, act_ptrs);
+                    for (int s = 0; s < kBatch; ++s) {
+                        const auto &got = acts[static_cast<std::size_t>(s)];
+                        const auto &ref = want[static_cast<std::size_t>(s)];
+                        if (!sameBits(got.conv2Flat.data(),
+                                      ref.conv2Flat.data()) ||
+                            !sameBits(got.fc3Pre.data(),
+                                      ref.fc3Pre.data()) ||
+                            !sameBits(got.out.data(), ref.out.data()))
+                            bad_batch.fetch_add(1);
+                    }
+                }
+            });
+        for (auto &t : threads)
+            t.join();
+        EXPECT_EQ(bad_backward.load(), 0) << backendKindName(kind);
+        EXPECT_EQ(bad_batch.load(), 0) << backendKindName(kind);
     }
 }
 
