@@ -99,10 +99,8 @@ DatapathBackend::forward(const nn::ParamSet &params,
                          params.view(conv2.bName), act.conv2Pre);
     stats_.counter("cycles.fw").inc(m.cycles);
     nn::reluForward(act.conv2Pre, act.conv2Act);
-    std::copy(act.conv2Act.data().begin(), act.conv2Act.data().end(),
-              act.conv2Flat.data().begin());
 
-    toColumn(act.conv2Flat.data(), fc3In_);
+    toColumn(act.conv2Act.data(), fc3In_);
     m = pes_.convForward(fc3.spec, fc3In_, fc3.fw,
                          params.view(fc3.bName), fc3Out_);
     stats_.counter("cycles.fw").inc(m.cycles);
@@ -184,7 +182,7 @@ DatapathBackend::backward(const nn::ParamSet &params,
     nn::reluBackward(act.fc3Pre, g_fc3_act, g_fc3_pre);
 
     // FC3.
-    toColumn(act.conv2Flat.data(), fc3In_);
+    toColumn(act.conv2Act.data(), fc3In_);
     toColumn(g_fc3_pre.data(), gFc3Out_);
     run_gc(fc3, fc3In_, gFc3Out_, grads);
     m = backwardLayer(fc3, gFc3Out_, gFc3In_);

@@ -1,6 +1,5 @@
 #include "nn/a3c_network.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -108,7 +107,6 @@ A3cNetwork::makeActivations() const
     act.conv2Pre = Tensor(tensor::Shape(
         {conv2_.outChannels, conv2_.outHeight(), conv2_.outWidth()}));
     act.conv2Act = Tensor(act.conv2Pre.shape());
-    act.conv2Flat = Tensor(tensor::Shape({fc3_.inFeatures}));
     act.fc3Pre = Tensor(tensor::Shape({fc3_.outFeatures}));
     act.fc3Act = Tensor(tensor::Shape({fc3_.outFeatures}));
     act.out = Tensor(tensor::Shape({fc4_.outFeatures}));
@@ -126,9 +124,7 @@ A3cNetwork::forward(const ParamSet &params, const Tensor &obs,
     convForward(conv2_, act.conv1Act, params.view("conv2.w"),
                 params.view("conv2.b"), act.conv2Pre);
     reluForward(act.conv2Pre, act.conv2Act);
-    std::copy(act.conv2Act.data().begin(), act.conv2Act.data().end(),
-              act.conv2Flat.data().begin());
-    fcForward(fc3_, act.conv2Flat, params.view("fc3.w"),
+    fcForward(fc3_, act.conv2Act, params.view("fc3.w"),
               params.view("fc3.b"), act.fc3Pre);
     reluForward(act.fc3Pre, act.fc3Act);
     fcForward(fc4_, act.fc3Act, params.view("fc4.w"),
@@ -153,16 +149,13 @@ A3cNetwork::backward(const ParamSet &params, const Activations &act,
     Tensor g_fc3_pre(tensor::Shape({fc3_.outFeatures}));
     reluBackward(act.fc3Pre, g_fc3_act, g_fc3_pre);
 
-    // FC3.
-    Tensor g_conv2_flat(tensor::Shape({fc3_.inFeatures}));
-    fcGradient(fc3_, act.conv2Flat, g_fc3_pre, grads.view("fc3.w"),
+    // FC3, reading and writing conv2-shaped tensors in place.
+    Tensor g_conv2_act(act.conv2Pre.shape());
+    fcGradient(fc3_, act.conv2Act, g_fc3_pre, grads.view("fc3.w"),
                grads.view("fc3.b"));
-    fcBackward(fc3_, g_fc3_pre, params.view("fc3.w"), g_conv2_flat);
+    fcBackward(fc3_, g_fc3_pre, params.view("fc3.w"), g_conv2_act);
 
     // ReLU before FC3 (applied on the conv2 feature map).
-    Tensor g_conv2_act(act.conv2Pre.shape());
-    std::copy(g_conv2_flat.data().begin(), g_conv2_flat.data().end(),
-              g_conv2_act.data().begin());
     Tensor g_conv2_pre(act.conv2Pre.shape());
     reluBackward(act.conv2Pre, g_conv2_act, g_conv2_pre);
 

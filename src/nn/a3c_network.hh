@@ -86,23 +86,24 @@ class A3cNetwork
     void initParams(ParamSet &params, sim::Rng &rng) const;
 
     /**
-     * All intermediate activations of one forward pass.
+     * All intermediate activations of one forward pass, one copy of
+     * each.
      *
      * FA3C stores these feature maps in off-chip DRAM between the
      * inference task and the following training task; the cache is the
-     * software analogue.
+     * software analogue. FC3 reads conv2Act in place: a row-major
+     * [C, H, W] map already is its input vector.
      */
     struct Activations
     {
-        Tensor input;     ///< [C, H, W]
-        Tensor conv1Pre;  ///< pre-ReLU conv1 output
-        Tensor conv1Act;  ///< post-ReLU
+        Tensor input;    ///< [C, H, W]
+        Tensor conv1Pre; ///< pre-ReLU conv1 output
+        Tensor conv1Act; ///< post-ReLU
         Tensor conv2Pre;
-        Tensor conv2Act;
-        Tensor conv2Flat; ///< conv2Act flattened for FC3
+        Tensor conv2Act; ///< also FC3's input vector
         Tensor fc3Pre;
         Tensor fc3Act;
-        Tensor out;       ///< [numActions + 1]
+        Tensor out;      ///< [numActions + 1]
     };
 
     /** Allocate an activation cache with the right shapes. */

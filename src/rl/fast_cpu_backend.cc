@@ -21,7 +21,6 @@ FastCpuBackend::FastCpuBackend(const nn::A3cNetwork &net)
                            nn::kernels::colSize(net.conv2()))),
       gFc3Act_(tensor::Shape({net.fc3().outFeatures})),
       gFc3Pre_(tensor::Shape({net.fc3().outFeatures})),
-      gConv2Flat_(tensor::Shape({net.fc3().inFeatures})),
       gConv2Act_(tensor::Shape({net.conv2().outChannels,
                                 net.conv2().outHeight(),
                                 net.conv2().outWidth()})),
@@ -42,8 +41,7 @@ FastCpuBackend::sampleTasks(int bsz) const
 }
 
 void
-FastCpuBackend::splitSamples(
-    int bsz, const std::function<void(int, int)> &trunk) const
+FastCpuBackend::splitSamples(int bsz, const TrunkPass &trunk) const
 {
     const int tasks = sampleTasks(bsz);
     nn::kernels::parallelFor(tasks, [&](int t) {
@@ -75,8 +73,6 @@ FastCpuBackend::forwardConvs(const nn::ParamSet &params,
             act.conv2Pre.data().data(), cols);
     }
     nn::reluForward(act.conv2Pre, act.conv2Act);
-    std::copy(act.conv2Act.data().begin(), act.conv2Act.data().end(),
-              act.conv2Flat.data().begin());
 }
 
 void
@@ -84,28 +80,47 @@ FastCpuBackend::forward(const nn::ParamSet &params,
                         const tensor::Tensor &obs,
                         nn::A3cNetwork::Activations &act)
 {
-    forwardConvs(params, obs, act, colScratch_);
-    {
-        KernelTimer t("fc_fw");
-        nn::kernels::fcForwardFastBatch(
-            net_.fc3(), 1, act.conv2Flat.data().data(),
-            params.view("fc3.w"), params.view("fc3.b"),
-            act.fc3Pre.data().data());
+    const tensor::Tensor *obsp[1] = {&obs};
+    nn::A3cNetwork::Activations *actp[1] = {&act};
+    forwardBatch(params, obsp, actp);
+}
+
+void
+FastCpuBackend::forwardStack(
+    std::span<nn::A3cNetwork::Activations *const> acts,
+    const TrunkPass &trunk, const FcPass &fc3, const FcPass &fc4)
+{
+    const int bsz = static_cast<int>(acts.size());
+    const auto rows = static_cast<std::size_t>(bsz);
+    const auto in3 = static_cast<std::size_t>(net_.fc3().inFeatures);
+    const auto out3 = static_cast<std::size_t>(net_.fc3().outFeatures);
+    const auto out4 = static_cast<std::size_t>(net_.fc4().outFeatures);
+    batchIn_.resize(rows * in3);
+    batchAct_.resize(rows * out3);
+    batchOut_.resize(rows * out4);
+
+    // A row-major conv2 map already is fc3's input vector; the task
+    // that computed it stages it while it is hot in that core's cache.
+    splitSamples(bsz, [&](int task, int s) {
+        trunk(task, s);
+        const auto i = static_cast<std::size_t>(s);
+        std::memcpy(batchIn_.data() + i * in3,
+                    acts[i]->conv2Act.data().data(), in3 * sizeof(float));
+    });
+    fc3(bsz, batchIn_.data(), batchAct_.data());
+    for (std::size_t s = 0; s < rows; ++s) {
+        float *row = batchAct_.data() + s * out3;
+        std::memcpy(acts[s]->fc3Pre.data().data(), row,
+                    out3 * sizeof(float));
+        for (std::size_t i = 0; i < out3; ++i)
+            row[i] = row[i] > 0.0f ? row[i] : 0.0f;
+        std::memcpy(acts[s]->fc3Act.data().data(), row,
+                    out3 * sizeof(float));
     }
-    nn::reluForward(act.fc3Pre, act.fc3Act);
-    {
-        KernelTimer t("fc_fw");
-        if (fc4Small_)
-            nn::kernels::fcForwardSmallBatch(
-                net_.fc4(), 1, act.fc3Act.data().data(),
-                params.view("fc4.w"), params.view("fc4.b"),
-                act.out.data().data());
-        else
-            nn::kernels::fcForwardFastBatch(
-                net_.fc4(), 1, act.fc3Act.data().data(),
-                params.view("fc4.w"), params.view("fc4.b"),
-                act.out.data().data());
-    }
+    fc4(bsz, batchAct_.data(), batchOut_.data());
+    for (std::size_t s = 0; s < rows; ++s)
+        std::memcpy(acts[s]->out.data().data(),
+                    batchOut_.data() + s * out4, out4 * sizeof(float));
 }
 
 void
@@ -143,7 +158,7 @@ FastCpuBackend::backward(const nn::ParamSet &params,
         if (task == 1) {
             KernelTimer t("fc_gc");
             nn::kernels::fcGradientFast(
-                net_.fc3(), act.conv2Flat.data().data(),
+                net_.fc3(), act.conv2Act.data().data(),
                 gFc3Pre_.data().data(), grads.view("fc3.w"),
                 grads.view("fc3.b"));
             return;
@@ -152,12 +167,10 @@ FastCpuBackend::backward(const nn::ParamSet &params,
             KernelTimer t("fc_bw");
             nn::kernels::fcBackwardFast(
                 net_.fc3(), gFc3Pre_.data().data(), params.view("fc3.w"),
-                gConv2Flat_.data().data());
+                gConv2Act_.data().data());
         }
 
         // ReLU before FC3, applied on the conv2 feature map.
-        std::copy(gConv2Flat_.data().begin(), gConv2Flat_.data().end(),
-                  gConv2Act_.data().begin());
         nn::reluBackward(act.conv2Pre, gConv2Act_, gConv2Pre_);
 
         // Conv2.
@@ -199,84 +212,45 @@ FastCpuBackend::forwardBatch(
                 "forwardBatch obs/acts size mismatch");
     if (obs.empty())
         return;
-    if (obs.size() == 1) {
-        // A lone request takes the lean single-sample route.
-        forward(params, *obs[0], *acts[0]);
-        return;
-    }
-
-    const nn::FcSpec &f3 = net_.fc3();
-    const nn::FcSpec &f4 = net_.fc4();
-    const int bsz = static_cast<int>(obs.size());
-    const std::size_t in3 = static_cast<std::size_t>(f3.inFeatures);
-    const std::size_t out3 = static_cast<std::size_t>(f3.outFeatures);
-    const std::size_t out4 = static_cast<std::size_t>(f4.outFeatures);
-    batchIn_.resize(static_cast<std::size_t>(bsz) * in3);
-    batchMid_.resize(static_cast<std::size_t>(bsz) * out3);
-    batchAct_.resize(static_cast<std::size_t>(bsz) * out3);
-    batchOut_.resize(static_cast<std::size_t>(bsz) * out4);
 
     // Conv trunks split by sample across the kernel pool. The conv
     // weights live in cache across the whole batch, so batching has
     // nothing to amortize there; running the trunks side by side does
     // pay. Each task im2cols into its own patch matrix, made in place
     // on first use (a copied temporary would count in peak RSS).
-    const int tasks = sampleTasks(bsz);
+    // FC3 and FC4 each run as one M = batch GEMM: the weight matrix is
+    // streamed once for the whole batch instead of once per request.
+    // The GEMM (and the small-head dot kernel) accumulates every
+    // output element in the same order at any M, so a sample's
+    // results do not depend on the batch it rides in.
+    const int tasks = sampleTasks(static_cast<int>(obs.size()));
     while (static_cast<int>(taskCols_.size()) < tasks - 1)
         taskCols_.emplace_back(colScratch_.size());
-    splitSamples(bsz, [&](int task, int s) {
-        forwardConvs(params, *obs[s], *acts[s],
-                     task == 0 ? colScratch_
-                               : taskCols_[static_cast<std::size_t>(
-                                     task - 1)]);
-        std::memcpy(batchIn_.data() + static_cast<std::size_t>(s) * in3,
-                    acts[s]->conv2Flat.data().data(),
-                    in3 * sizeof(float));
-    });
-
-    // FC3 as one M = batch GEMM over the same weights forward() reads
-    // at M = 1: the weight matrix is streamed once for the whole batch
-    // instead of once per request. The GEMM accumulates every output
-    // element in the same order at any M, so results are
-    // bit-identical to forward().
-    {
-        KernelTimer t("fc_fw");
-        nn::kernels::fcForwardFastBatch(f3, bsz, batchIn_.data(),
-                                        params.view("fc3.w"),
-                                        params.view("fc3.b"),
-                                        batchMid_.data());
-    }
-    for (int s = 0; s < bsz; ++s) {
-        const float *pre =
-            batchMid_.data() + static_cast<std::size_t>(s) * out3;
-        float *post =
-            batchAct_.data() + static_cast<std::size_t>(s) * out3;
-        std::memcpy(acts[s]->fc3Pre.data().data(), pre,
-                    out3 * sizeof(float));
-        for (std::size_t i = 0; i < out3; ++i)
-            post[i] = pre[i] > 0.0f ? pre[i] : 0.0f;
-        std::memcpy(acts[s]->fc3Act.data().data(), post,
-                    out3 * sizeof(float));
-    }
-
-    // FC4 batched the same way (or the small-head dot kernel, which
-    // is the same per-element order as the single-sample call).
-    {
-        KernelTimer t("fc_fw");
-        if (fc4Small_)
-            nn::kernels::fcForwardSmallBatch(
-                f4, bsz, batchAct_.data(), params.view("fc4.w"),
-                params.view("fc4.b"), batchOut_.data());
-        else
-            nn::kernels::fcForwardFastBatch(f4, bsz, batchAct_.data(),
-                                            params.view("fc4.w"),
-                                            params.view("fc4.b"),
-                                            batchOut_.data());
-    }
-    for (int s = 0; s < bsz; ++s)
-        std::memcpy(acts[s]->out.data().data(),
-                    batchOut_.data() + static_cast<std::size_t>(s) * out4,
-                    out4 * sizeof(float));
+    forwardStack(
+        acts,
+        [&](int task, int s) {
+            forwardConvs(params, *obs[s], *acts[s],
+                         task == 0 ? colScratch_
+                                   : taskCols_[static_cast<std::size_t>(
+                                         task - 1)]);
+        },
+        [&](int rows, const float *in, float *out) {
+            KernelTimer t("fc_fw");
+            nn::kernels::fcForwardFastBatch(net_.fc3(), rows, in,
+                                            params.view("fc3.w"),
+                                            params.view("fc3.b"), out);
+        },
+        [&](int rows, const float *in, float *out) {
+            KernelTimer t("fc_fw");
+            if (fc4Small_)
+                nn::kernels::fcForwardSmallBatch(
+                    net_.fc4(), rows, in, params.view("fc4.w"),
+                    params.view("fc4.b"), out);
+            else
+                nn::kernels::fcForwardFastBatch(
+                    net_.fc4(), rows, in, params.view("fc4.w"),
+                    params.view("fc4.b"), out);
+        });
 }
 
 std::unique_ptr<DnnBackend>

@@ -16,12 +16,15 @@
  *    while loading), and conv2's backward reads conv2.w through the
  *    transposed-A GEMM, so no weight image is staged on a parameter
  *    sync and forward/backward always see the current parameters.
- *    forward() runs the FC layers as an M = 1 GEMM and
- *    forwardBatch() as one M = batch GEMM, so the PAAC rollout, the
- *    GA3C predictor, and the serving scheduler read the FC weights
- *    once per batch instead of once per request, bit-identically to
- *    forward(). Heads narrower than kernels::kSmallFcMaxOut run a
- *    dot kernel over the same rows.
+ *    forwardBatch() is the one forward body: it runs the FC layers as
+ *    one M = batch GEMM, so the PAAC rollout, the GA3C predictor, and
+ *    the serving scheduler read the FC weights once per batch instead
+ *    of once per request, and forward() is a batch of one, so
+ *    single/batch parity holds by construction. Heads narrower than
+ *    kernels::kSmallFcMaxOut run a dot kernel over the same rows.
+ *  - fc3 reads conv2's row-major feature map in place as its input
+ *    vector, and fc3's backward writes the conv2-shaped gradient
+ *    directly; no flattened copy is kept of either.
  *
  * The kernel pool's second core takes the independent work of one
  * call, as FA3C's paired CUs do: forwardBatch() splits the batch's
@@ -57,6 +60,7 @@ class FastCpuBackend : public DnnBackend
 
     const nn::A3cNetwork &network() const override { return net_; }
 
+    /** A batch of one through the (virtual) forwardBatch. */
     void forward(const nn::ParamSet &params, const tensor::Tensor &obs,
                  nn::A3cNetwork::Activations &act) override;
 
@@ -73,8 +77,27 @@ class FastCpuBackend : public DnnBackend
 
   protected:
     // Protected rather than private: QuantCpuBackend derives from
-    // this class to inherit the fp32 training path (backward), and
-    // shares the batch staging buffers and the sample split.
+    // this class to inherit the fp32 training path (backward) and
+    // forward(), and runs its int8 layers through forwardStack.
+
+    /** The conv trunk of sample s, on pool task @p task's scratch. */
+    using TrunkPass = std::function<void(int task, int s)>;
+
+    /** One batched FC layer: out[bsz][O] from in[bsz][I]. */
+    using FcPass = std::function<void(int bsz, const float *in,
+                                      float *out)>;
+
+    /**
+     * The forward pass of a batch; the fp32 and int8 backends differ
+     * only in the layer calls. Runs @p trunk for every sample, split
+     * across the kernel pool (splitSamples), each task staging its
+     * samples' conv2 maps into one [B][fc3.in] matrix; then runs
+     * @p fc3, copies each row's pre-activations out and applies ReLU
+     * in place, runs @p fc4 on the result and copies its rows out.
+     */
+    void forwardStack(std::span<nn::A3cNetwork::Activations *const> acts,
+                      const TrunkPass &trunk, const FcPass &fc3,
+                      const FcPass &fc4);
 
     /**
      * Pool tasks a batch of @p bsz conv trunks splits into: one per
@@ -83,16 +106,6 @@ class FastCpuBackend : public DnnBackend
      * stay inline).
      */
     int sampleTasks(int bsz) const;
-
-    /**
-     * Runs trunk(task, s) for every sample s of a batch of @p bsz,
-     * split across the kernel pool: task t of T = sampleTasks(bsz)
-     * takes samples [bsz·t/T, bsz·(t+1)/T) in order. Each sample is
-     * computed whole by one task, so the split never changes a
-     * result; @p task selects that task's scratch.
-     */
-    void splitSamples(int bsz,
-                      const std::function<void(int, int)> &trunk) const;
 
     const nn::A3cNetwork &net_;
 
@@ -112,23 +125,27 @@ class FastCpuBackend : public DnnBackend
     std::vector<std::vector<float>> taskCols_;
     tensor::Tensor gFc3Act_;
     tensor::Tensor gFc3Pre_;
-    tensor::Tensor gConv2Flat_;
     tensor::Tensor gConv2Act_;
     tensor::Tensor gConv2Pre_;
     tensor::Tensor gConv1Act_;
     tensor::Tensor gConv1Pre_;
 
-    // Batch staging buffers for forwardBatch (grown on demand).
-    std::vector<float> batchIn_;  ///< [B][fc3.in]  flattened conv2 maps
-    std::vector<float> batchMid_; ///< [B][fc3.out] fc3 pre-activations
-    std::vector<float> batchAct_; ///< [B][fc3.out] post-ReLU
+  private:
+    // FC staging buffers of forwardStack (grown on demand).
+    std::vector<float> batchIn_;  ///< [B][fc3.in]  conv2 maps
+    std::vector<float> batchAct_; ///< [B][fc3.out] fc3, ReLU in place
     std::vector<float> batchOut_; ///< [B][fc4.out]
 
-  private:
     /**
-     * Conv trunk of one forward pass (shared by both entry points),
-     * on the patch matrix @p cols.
+     * Runs trunk(task, s) for every sample s of a batch of @p bsz,
+     * split across the kernel pool: task t of T = sampleTasks(bsz)
+     * takes samples [bsz·t/T, bsz·(t+1)/T) in order. Each sample is
+     * computed whole by one task, so the split never changes a
+     * result; @p task selects that task's scratch.
      */
+    void splitSamples(int bsz, const TrunkPass &trunk) const;
+
+    /** Conv trunk of one sample, on the patch matrix @p cols. */
     void forwardConvs(const nn::ParamSet &params,
                       const tensor::Tensor &obs,
                       nn::A3cNetwork::Activations &act,

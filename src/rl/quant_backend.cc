@@ -1,7 +1,6 @@
 #include "rl/quant_backend.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "nn/kernels/im2col.hh"
 #include "nn/kernels/quant.hh"
@@ -126,23 +125,13 @@ QuantCpuBackend::convTrunkInt8(const nn::ParamSet &params,
                   act.conv1Act.data().data(), act.conv2Pre.data().data(),
                   scratch);
     nn::reluForward(act.conv2Pre, act.conv2Act);
-    std::copy(act.conv2Act.data().begin(), act.conv2Act.data().end(),
-              act.conv2Flat.data().begin());
 }
 
-void
-QuantCpuBackend::fcBatchInt8(const nn::FcSpec &spec,
-                             const nn::QuantizedModel::Int8Panels &qw,
-                             std::span<const float> bias, int bsz,
-                             const float *in, float *out)
+std::size_t
+QuantCpuBackend::quantizeRows(int bsz, int inF, const float *in)
 {
-    KernelTimer t("fc_fw_q8");
-    const int inF = spec.inFeatures;
-    const int outF = spec.outFeatures;
     const std::size_t stride =
         static_cast<std::size_t>(nn::kernels::qrowStride(inF));
-
-    // Quantize every activation row (zero-padded to the quad stride).
     qrows_.assign(static_cast<std::size_t>(bsz) * stride, 0);
     sx_.resize(static_cast<std::size_t>(bsz));
     for (int s = 0; s < bsz; ++s) {
@@ -157,6 +146,19 @@ QuantCpuBackend::fcBatchInt8(const nn::FcSpec &spec,
                                       static_cast<std::size_t>(s) *
                                           stride);
     }
+    return stride;
+}
+
+void
+QuantCpuBackend::fcBatchInt8(const nn::FcSpec &spec,
+                             const nn::QuantizedModel::Int8Panels &qw,
+                             std::span<const float> bias, int bsz,
+                             const float *in, float *out)
+{
+    KernelTimer t("fc_fw_q8");
+    const int inF = spec.inFeatures;
+    const int outF = spec.outFeatures;
+    const std::size_t stride = quantizeRows(bsz, inF, in);
 
     acc32_.assign(static_cast<std::size_t>(bsz) *
                       static_cast<std::size_t>(outF),
@@ -212,91 +214,23 @@ QuantCpuBackend::fcSmallInt8(const nn::FcSpec &spec,
                              const float *in, float *out)
 {
     KernelTimer t("fc_fw_q8");
-    const int inF = spec.inFeatures;
     const int outF = spec.outFeatures;
-    const std::size_t stride =
-        static_cast<std::size_t>(nn::kernels::qrowStride(inF));
-
-    qrows_.assign(static_cast<std::size_t>(bsz) * stride, 0);
+    const std::size_t stride = quantizeRows(bsz, spec.inFeatures, in);
     for (int s = 0; s < bsz; ++s) {
-        const float *row =
-            in + static_cast<std::size_t>(s) *
-                     static_cast<std::size_t>(inF);
-        const ActScale sc =
-            actScale(row, static_cast<std::size_t>(inF));
-        std::int8_t *qrow =
+        const std::int8_t *qrow =
             qrows_.data() + static_cast<std::size_t>(s) * stride;
-        nn::kernels::quantizeRowU(inF, row, sc.inv, qrow);
+        const float sxs = sx_[static_cast<std::size_t>(s)];
         float *dst = out + static_cast<std::size_t>(s) *
                                static_cast<std::size_t>(outF);
         for (int o = 0; o < outF; ++o) {
             const std::int32_t acc = nn::kernels::qdot(
                 static_cast<int>(stride), qrow,
                 qw.rows.data() + static_cast<std::size_t>(o) * stride);
-            dst[o] =
-                static_cast<float>(acc) *
-                    (qw.scale[static_cast<std::size_t>(o)] * sc.sx) +
-                bias[static_cast<std::size_t>(o)];
+            dst[o] = static_cast<float>(acc) *
+                         (qw.scale[static_cast<std::size_t>(o)] * sxs) +
+                     bias[static_cast<std::size_t>(o)];
         }
     }
-}
-
-void
-QuantCpuBackend::fcStack(const nn::ParamSet &params, int bsz,
-                         std::span<nn::A3cNetwork::Activations *const>
-                             acts)
-{
-    const nn::FcSpec &f3 = net_.fc3();
-    const nn::FcSpec &f4 = net_.fc4();
-    const std::size_t out3 = static_cast<std::size_t>(f3.outFeatures);
-    const std::size_t out4 = static_cast<std::size_t>(f4.outFeatures);
-    batchMid_.resize(static_cast<std::size_t>(bsz) * out3);
-    batchAct_.resize(static_cast<std::size_t>(bsz) * out3);
-    batchOut_.resize(static_cast<std::size_t>(bsz) * out4);
-    const nn::QuantizedModel &q = *quant_;
-
-    fcBatchInt8(f3, q.fc3, params.view("fc3.b"), bsz, batchIn_.data(),
-                batchMid_.data());
-
-    for (int s = 0; s < bsz; ++s) {
-        const float *pre =
-            batchMid_.data() + static_cast<std::size_t>(s) * out3;
-        float *post =
-            batchAct_.data() + static_cast<std::size_t>(s) * out3;
-        std::memcpy(acts[static_cast<std::size_t>(s)]->fc3Pre.data().data(),
-                    pre, out3 * sizeof(float));
-        for (std::size_t i = 0; i < out3; ++i)
-            post[i] = pre[i] > 0.0f ? pre[i] : 0.0f;
-        std::memcpy(acts[static_cast<std::size_t>(s)]->fc3Act.data().data(),
-                    post, out3 * sizeof(float));
-    }
-
-    if (q.fc4Small)
-        fcSmallInt8(f4, q.fc4Rows, params.view("fc4.b"), bsz,
-                    batchAct_.data(), batchOut_.data());
-    else
-        fcBatchInt8(f4, q.fc4, params.view("fc4.b"), bsz,
-                    batchAct_.data(), batchOut_.data());
-
-    for (int s = 0; s < bsz; ++s)
-        std::memcpy(acts[static_cast<std::size_t>(s)]->out.data().data(),
-                    batchOut_.data() +
-                        static_cast<std::size_t>(s) * out4,
-                    out4 * sizeof(float));
-}
-
-void
-QuantCpuBackend::forward(const nn::ParamSet &params,
-                         const tensor::Tensor &obs,
-                         nn::A3cNetwork::Activations &act)
-{
-    // One batched pass of size 1: same code path as forwardBatch, so
-    // batch/single parity is structural rather than replicated.
-    const tensor::Tensor *obsp[1] = {&obs};
-    nn::A3cNetwork::Activations *actp[1] = {&act};
-    forwardBatch(params,
-                 std::span<const tensor::Tensor *const>(obsp, 1),
-                 std::span<nn::A3cNetwork::Activations *const>(actp, 1));
 }
 
 void
@@ -311,22 +245,31 @@ QuantCpuBackend::forwardBatch(
         return;
     ensureQuant(params);
 
-    const int bsz = static_cast<int>(obs.size());
-    const std::size_t in3 =
-        static_cast<std::size_t>(net_.fc3().inFeatures);
-    batchIn_.resize(static_cast<std::size_t>(bsz) * in3);
     // The int8 trunks split by sample like FastCpu's fp32 ones, each
     // task on its own scratch.
+    const int tasks = sampleTasks(static_cast<int>(obs.size()));
     trunks_.resize(std::max(trunks_.size(),
-                            static_cast<std::size_t>(sampleTasks(bsz))));
-    splitSamples(bsz, [&](int task, int s) {
-        const auto i = static_cast<std::size_t>(s);
-        convTrunkInt8(params, *obs[i], *acts[i],
-                      trunks_[static_cast<std::size_t>(task)]);
-        std::memcpy(batchIn_.data() + i * in3,
-                    acts[i]->conv2Flat.data().data(), in3 * sizeof(float));
-    });
-    fcStack(params, bsz, acts);
+                            static_cast<std::size_t>(tasks)));
+    const nn::QuantizedModel &q = *quant_;
+    forwardStack(
+        acts,
+        [&](int task, int s) {
+            const auto i = static_cast<std::size_t>(s);
+            convTrunkInt8(params, *obs[i], *acts[i],
+                          trunks_[static_cast<std::size_t>(task)]);
+        },
+        [&](int rows, const float *in, float *out) {
+            fcBatchInt8(net_.fc3(), q.fc3, params.view("fc3.b"), rows,
+                        in, out);
+        },
+        [&](int rows, const float *in, float *out) {
+            if (q.fc4Small)
+                fcSmallInt8(net_.fc4(), q.fc4Rows, params.view("fc4.b"),
+                            rows, in, out);
+            else
+                fcBatchInt8(net_.fc4(), q.fc4, params.view("fc4.b"),
+                            rows, in, out);
+        });
 }
 
 } // namespace fa3c::rl

@@ -12,8 +12,12 @@
  *
  * forwardBatch splits the batch's int8 conv trunks across the kernel
  * pool by sample, through the same helper and with the same ranges
- * as FastCpuBackend, each task on its own int8 scratch; fc3's qgemm
- * splits by panel strips under the shared kernels::stripTasks gate.
+ * as FastCpuBackend, each task on its own int8 scratch, then runs
+ * FastCpuBackend's FC stack with int8 layers in place of the fp32
+ * GEMMs; fc3's qgemm splits by panel strips under the shared
+ * kernels::stripTasks gate, and one row quantizer serves both int8
+ * FC forms. forward() is inherited: a batch of one through this
+ * forwardBatch.
  *
  * The image arrives either pre-built via onQuantSync (serving:
  * ModelRegistry quantizes once per publish and shares it across
@@ -55,9 +59,6 @@ class QuantCpuBackend : public FastCpuBackend
         const nn::ParamSet &params,
         std::shared_ptr<const nn::QuantizedModel> quant) override;
 
-    void forward(const nn::ParamSet &params, const tensor::Tensor &obs,
-                 nn::A3cNetwork::Activations &act) override;
-
     void
     forwardBatch(const nn::ParamSet &params,
                  std::span<const tensor::Tensor *const> obs,
@@ -88,6 +89,13 @@ class QuantCpuBackend : public FastCpuBackend
                        nn::A3cNetwork::Activations &act,
                        TrunkScratch &scratch);
 
+    /**
+     * Quantizes @p bsz activation rows of @p inF floats into qrows_
+     * (zero-padded to the quad stride) with their scales in sx_;
+     * @return the row stride.
+     */
+    std::size_t quantizeRows(int bsz, int inF, const float *in);
+
     /** Batched int8 FC: out[s][o] = deq(qgemm) + bias[o]. */
     void fcBatchInt8(const nn::FcSpec &spec,
                      const nn::QuantizedModel::Int8Panels &qw,
@@ -99,10 +107,6 @@ class QuantCpuBackend : public FastCpuBackend
                      const nn::QuantizedModel::Int8Rows &qw,
                      std::span<const float> bias, int bsz,
                      const float *in, float *out);
-
-    /** The FC stack shared by forward and forwardBatch. */
-    void fcStack(const nn::ParamSet &params, int bsz,
-                 std::span<nn::A3cNetwork::Activations *const> acts);
 
     std::shared_ptr<const nn::QuantizedModel> quant_;
 

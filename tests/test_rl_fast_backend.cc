@@ -356,10 +356,10 @@ TEST(FastCpuBackend, ForwardBatchBitExactWithSingleForward)
                 for (std::size_t i = 0; i < ref.fc3Act.numel(); ++i)
                     ASSERT_EQ(got.fc3Act.data()[i], ref.fc3Act.data()[i])
                         << where() << ", fc3Act " << i;
-                for (std::size_t i = 0; i < ref.conv2Flat.numel(); ++i)
-                    ASSERT_EQ(got.conv2Flat.data()[i],
-                              ref.conv2Flat.data()[i])
-                        << where() << ", conv2Flat " << i;
+                for (std::size_t i = 0; i < ref.conv2Act.numel(); ++i)
+                    ASSERT_EQ(got.conv2Act.data()[i],
+                              ref.conv2Act.data()[i])
+                        << where() << ", conv2Act " << i;
             }
         }
     }
@@ -429,8 +429,8 @@ TEST(FastCpuBackend, ConcurrentCallersMatchSingleThreadResults)
                     for (int s = 0; s < kBatch; ++s) {
                         const auto &got = acts[static_cast<std::size_t>(s)];
                         const auto &ref = want[static_cast<std::size_t>(s)];
-                        if (!sameBits(got.conv2Flat.data(),
-                                      ref.conv2Flat.data()) ||
+                        if (!sameBits(got.conv2Act.data(),
+                                      ref.conv2Act.data()) ||
                             !sameBits(got.fc3Pre.data(),
                                       ref.fc3Pre.data()) ||
                             !sameBits(got.out.data(), ref.out.data()))
