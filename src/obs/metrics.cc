@@ -193,6 +193,7 @@ MetricsRegistry::snapshotJson() const
 bool
 MetricsRegistry::writeTo(const std::string &path) const
 {
+    std::lock_guard<std::mutex> write(writeMutex_);
     if (!writeAtomically(path, snapshotJson())) {
         FA3C_WARN("metrics: cannot write '", path, "'");
         return false;
@@ -203,6 +204,9 @@ MetricsRegistry::writeTo(const std::string &path) const
 bool
 MetricsRegistry::flushBestEffort() const
 {
+    std::unique_lock<std::mutex> write(writeMutex_, std::try_to_lock);
+    if (!write.owns_lock())
+        return false;
     std::string path;
     std::string doc;
     {

@@ -117,13 +117,15 @@ class MetricsRegistry
     /**
      * Serialize to @p path; returns false on I/O failure. The write
      * goes through a same-directory temp file renamed into place, so
-     * a crash mid-write never leaves a truncated document behind.
+     * a crash mid-write never leaves a truncated document behind, and
+     * one writer at a time owns the temp file (writes queue).
      */
     bool writeTo(const std::string &path) const;
 
     /**
-     * Write the export file now if the lock is free (signal-handler
-     * path: skips rather than deadlocks when a flush is in flight).
+     * Write the export file now if no other write and no registry
+     * update is in flight (signal-handler path: skips, leaving the
+     * last complete document, rather than deadlock or race a write).
      */
     bool flushBestEffort() const;
 
@@ -132,6 +134,9 @@ class MetricsRegistry
 
   private:
     mutable std::mutex mutex_;
+    /// Held across one export's snapshot, write and rename (taken
+    /// before mutex_), so two writers never share the temp file.
+    mutable std::mutex writeMutex_;
     std::atomic<bool> enabled_{false};
     std::string exportPath_;
     std::map<std::string, const sim::StatGroup *> live_;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "test_json.hh"
@@ -268,6 +271,50 @@ TEST(MetricsRegistry, FlushBestEffortWritesExportPath)
     const JsonValue doc = parseFile(file.path());
     EXPECT_EQ(doc.at("groups").at("g").at("counters").at("c").number,
               11.0);
+}
+
+TEST(MetricsRegistry, ConcurrentWritersNeverPublishATornDocument)
+{
+    // The periodic flusher (writeTo) and the signal path
+    // (flushBestEffort) export one path through one temp file; while
+    // both run flat out, every read of the published file must parse.
+    TempFile file("metrics_race.json");
+    obs::MetricsRegistry reg;
+    reg.setEnabled(true);
+    reg.setExportPath(file.path());
+    for (int i = 0; i < 64; ++i)
+        reg.count("race", std::to_string(i), 1);
+    ASSERT_TRUE(reg.writeTo(file.path()));
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> write_failures{0};
+    std::thread flusher([&] {
+        while (!stop.load())
+            if (!reg.writeTo(file.path()))
+                write_failures.fetch_add(1);
+    });
+    std::thread signal_path([&] {
+        while (!stop.load())
+            reg.flushBestEffort();
+    });
+    int reads = 0;
+    int torn = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+    while (std::chrono::steady_clock::now() < deadline) {
+        ++reads;
+        try {
+            (void)JsonParser(slurp(file.path())).parse();
+        } catch (const std::exception &) {
+            ++torn;
+        }
+    }
+    stop.store(true);
+    flusher.join();
+    signal_path.join();
+    std::remove((file.path() + ".tmp").c_str());
+    EXPECT_EQ(torn, 0) << "of " << reads << " reads";
+    EXPECT_EQ(write_failures.load(), 0);
 }
 
 TEST(TraceWriter, CreatesMissingParentDirs)
