@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
+#include "obs/env_value.hh"
 #include "sim/logging.hh"
 
 namespace fa3c::obs {
@@ -19,11 +21,13 @@ SloMonitor::SloMonitor(Config cfg)
 SloMonitor::Config
 SloMonitor::configFromEnv(Config cfg)
 {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     if (const char *w = std::getenv("FA3C_SLO_WINDOW_SEC"); w && *w)
-        cfg.windowSec = std::max(std::strtod(w, nullptr), 1e-3);
+        cfg.windowSec = parseEnvValue("FA3C_SLO_WINDOW_SEC", w, 1e-3, kInf)
+                            .value_or(cfg.windowSec);
     if (const char *b = std::getenv("FA3C_SLO_MISS_BUDGET"); b && *b)
-        cfg.missBudget =
-            std::clamp(std::strtod(b, nullptr), 1e-9, 1.0);
+        cfg.missBudget = parseEnvValue("FA3C_SLO_MISS_BUDGET", b, 1e-9, 1.0)
+                             .value_or(cfg.missBudget);
     return cfg;
 }
 

@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/env_value.hh"
+
 namespace fa3c::obs {
 
 namespace {
@@ -15,7 +17,8 @@ namespace {
 std::atomic<double> g_sampleRate{[] {
     if (const char *rate = std::getenv("FA3C_TRACE_SAMPLE");
         rate && *rate)
-        return std::clamp(std::strtod(rate, nullptr), 0.0, 1.0);
+        return parseEnvValue("FA3C_TRACE_SAMPLE", rate, 0.0, 1.0)
+            .value_or(1.0);
     return 1.0;
 }()};
 

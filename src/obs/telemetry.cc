@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "obs/build_info.hh"
+#include "obs/env_value.hh"
 #include "obs/metrics.hh"
 #include "obs/prometheus.hh"
 #include "sim/logging.hh"
@@ -284,11 +285,16 @@ telemetry()
 {
     static std::unique_ptr<TelemetryServer> global =
         []() -> std::unique_ptr<TelemetryServer> {
-        const char *port = std::getenv("FA3C_TELEMETRY_PORT");
-        if (!port || !*port)
+        const char *text = std::getenv("FA3C_TELEMETRY_PORT");
+        if (!text || !*text)
             return nullptr;
-        auto server = std::make_unique<TelemetryServer>(
-            std::atoi(port));
+        // A malformed port leaves telemetry off rather than bind a
+        // port nobody asked for.
+        const auto port =
+            parseEnvValue("FA3C_TELEMETRY_PORT", text, 0, 65535);
+        if (!port)
+            return nullptr;
+        auto server = std::make_unique<TelemetryServer>(*port);
         if (!server->ok())
             return nullptr;
         // A scrapable endpoint implies live metrics, even without a

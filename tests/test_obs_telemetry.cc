@@ -7,6 +7,9 @@
  * span parent/child linkage through queue -> batch -> infer in the
  * sampled trace.
  *
+ * Malformed runtime values (the SLO window and budget, the port) must
+ * keep their defaults; the port is tried in re-executed children.
+ *
  * A custom main() configures FA3C_TELEMETRY_PORT=0 (ephemeral),
  * FA3C_TRACE, and FA3C_TRACE_SAMPLE=1 before any lazy global
  * initializer runs, so the whole binary exercises the telemetry
@@ -35,6 +38,7 @@
 
 #include "test_json.hh"
 
+#include "obs/env_value.hh"
 #include "obs/metrics.hh"
 #include "obs/prometheus.hh"
 #include "obs/slo.hh"
@@ -271,6 +275,48 @@ TEST(SloMonitor, ConfigFromEnvOverridesDefaults)
     const auto defaults = obs::SloMonitor::configFromEnv();
     EXPECT_DOUBLE_EQ(defaults.windowSec, 60.0);
     EXPECT_DOUBLE_EQ(defaults.missBudget, 0.01);
+
+    // A malformed value warns and keeps the default: a NaN window
+    // would never expire a slice and a NaN budget would hide every
+    // breach.
+    for (const char *bad : {"nan", "inf", "-1", "abc"}) {
+        ::setenv("FA3C_SLO_WINDOW_SEC", bad, 1);
+        ::setenv("FA3C_SLO_MISS_BUDGET", bad, 1);
+        const auto kept = obs::SloMonitor::configFromEnv();
+        EXPECT_DOUBLE_EQ(kept.windowSec, 60.0) << bad;
+        EXPECT_DOUBLE_EQ(kept.missBudget, 0.01) << bad;
+    }
+    ::unsetenv("FA3C_SLO_WINDOW_SEC");
+    ::unsetenv("FA3C_SLO_MISS_BUDGET");
+}
+
+TEST(EnvValue, TakesOnlyAWholeFiniteNumberInRange)
+{
+    EXPECT_EQ(obs::parseEnvValue("V", "0.25", 0.0, 1.0), 0.25);
+    EXPECT_EQ(obs::parseEnvValue("V", "1e-3", 1e-3, 2.0), 1e-3);
+    EXPECT_EQ(obs::parseEnvValue("V", "9464", 0, 65535), 9464);
+    for (const char *bad : {"nan", "inf", "-inf", "1.5", "-0.5", "abc",
+                            "0.5x", " 0.5", "1e999", ""})
+        EXPECT_FALSE(obs::parseEnvValue("V", bad, 0.0, 1.0)) << bad;
+    for (const char *bad : {"70000", "-1", "abc", "80x", "1.5", "0x10"})
+        EXPECT_FALSE(obs::parseEnvValue("V", bad, 0, 65535)) << bad;
+}
+
+TEST(EnvValueDeathTest, MalformedTelemetryPortLeavesTelemetryOff)
+{
+    // The endpoint is process-wide and latched on first use, so each
+    // value is read in a re-executed child, which exits 1 when
+    // telemetry came up and 0 when it stayed off.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto serves = [](const char *port) {
+        ::setenv("FA3C_TELEMETRY_PORT", port, 1);
+        std::_Exit(obs::telemetry() != nullptr ? 1 : 0);
+    };
+    EXPECT_EXIT(serves("0"), ::testing::ExitedWithCode(1), "")
+        << "a valid port must serve";
+    for (const char *bad : {"70000", "-1", "abc", "1.5"})
+        EXPECT_EXIT(serves(bad), ::testing::ExitedWithCode(0), "")
+            << "FA3C_TELEMETRY_PORT=" << bad;
 }
 
 TEST(DistributionMerge, MatchesSampleUnion)
