@@ -154,6 +154,8 @@ PsServer::start()
             w.counter("fa3c_dist_push_rejects_total",
                       pushRejects_.load(std::memory_order_relaxed),
                       "Rejected gradient pushes");
+            w.counter("fa3c_dist_lease_joins_total", leases_.joined(),
+                      "Leases granted (worker joins)");
             w.counter("fa3c_dist_lease_reaps_total", leases_.reaped(),
                       "Leases reaped (timeout or dead connection)");
         },
@@ -337,7 +339,6 @@ PsServer::handleHello(int fd, const std::string &payload,
             leases_.leave(owned_lease);
         welcome.workerId = leases_.join(hello.workerName);
         owned_lease = welcome.workerId;
-        obs::metrics().count("dist", "lease_joins");
         FA3C_INFORM("dist: worker '", hello.workerName,
                     "' joined as #", welcome.workerId, " at version ",
                     welcome.version);
@@ -424,7 +425,6 @@ PsServer::handlePush(int fd, ConnBuffers &buf, bool &proto_ok)
             obs::emitSpan(span, "dist.ps", "ps.apply", t0, t1, args);
         }
         if (m.enabled()) {
-            m.count("dist", "pushes");
             m.sample("dist", "push_staleness",
                      static_cast<double>(res.staleness));
             m.sample("dist", "apply_us",
@@ -441,7 +441,6 @@ PsServer::handlePush(int fd, ConnBuffers &buf, bool &proto_ok)
             markDone();
     } else {
         pushRejects_.fetch_add(1, std::memory_order_relaxed);
-        m.count("dist", "push_rejects");
     }
     ack.stop = done() ? 1 : 0;
     wire::Gather out;
@@ -531,11 +530,9 @@ PsServer::connectionMain(int fd, std::uint64_t conn_id)
         }
     }
 
-    if (owned_lease != 0 && leases_.reap(owned_lease)) {
-        obs::metrics().count("dist", "lease_reaps");
+    if (owned_lease != 0 && leases_.reap(owned_lease))
         FA3C_WARN("dist: reaped lease #", owned_lease,
                   " (connection closed)");
-    }
     ::close(fd);
     std::lock_guard<std::mutex> lock(connMutex_);
     for (auto it = connFds_.begin(); it != connFds_.end(); ++it) {
@@ -564,11 +561,9 @@ PsServer::housekeeperMain()
             break;
         lock.unlock();
 
-        for (const LeaseTable::Lease &l : leases_.reapExpired()) {
-            obs::metrics().count("dist", "lease_reaps");
+        for (const LeaseTable::Lease &l : leases_.reapExpired())
             FA3C_WARN("dist: reaped lease #", l.id, " ('", l.name,
                       "') — heartbeat timeout");
-        }
         if (cfg_.checkpointEverySteps > 0 &&
             !cfg_.checkpointPath.empty()) {
             const std::uint64_t steps = params_.globalSteps();

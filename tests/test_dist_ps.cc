@@ -5,8 +5,8 @@
  * a silent worker, PS checkpoint/restore across a restart, one
  * accepted push per version in synchronous mode, the version label of
  * every theta the PS sends, the layout-derived frame limit, the
- * joining of ended connection threads, and the worker's
- * dist.update_norm sample.
+ * joining of ended connection threads, the worker's
+ * dist.update_norm sample, and one /metrics series per PS event count.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -38,7 +39,9 @@
 #include "net/frame.hh"
 #include "nn/a3c_network.hh"
 #include "obs/metrics.hh"
+#include "obs/telemetry.hh"
 #include "rl/global_params.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 using namespace fa3c;
@@ -768,4 +771,99 @@ TEST(DistPs, ApplyGradientsSamplesTheNormOfTheCacheUpdate)
     EXPECT_NEAR(sum1 - sum0, expected, 1e-9 * expected);
     remote.leave();
     ps.stop();
+}
+
+namespace {
+
+/**
+ * Death-test child: 0 when /metrics carries each PS event count
+ * (accepted and rejected pushes, lease joins and reaps) in exactly
+ * one series, its fa3c_dist_*_total counter, equal to stats().
+ */
+int
+eventCountsChild()
+{
+    sim::setLogLevel(sim::LogLevel::Quiet);
+    ::setenv("FA3C_TELEMETRY_PORT", "0", 1);
+    obs::TelemetryServer *server = obs::telemetry();
+    if (server == nullptr)
+        return 2;
+
+    const nn::A3cNetwork net(tinyNet());
+    PsServerConfig cfg;
+    cfg.maxStaleness = 0; // the second push below is one update stale
+    PsServer ps(net, cfg);
+    PsClient client;
+    wire::Welcome welcome;
+    if (!ps.start() || !client.connect("127.0.0.1", ps.port()) ||
+        !client.hello(helloFor(net, "w0"), welcome))
+        return 3;
+    const std::size_t count = net.makeParams().size();
+    std::vector<float> theta(count);
+    const std::vector<float> grads(count, 1.0f);
+    wire::Push push;
+    push.workerId = welcome.workerId;
+    push.steps = 10;
+    push.grads = grads;
+    for (const std::uint64_t base : {0u, 0u, 1u}) {
+        push.baseVersion = base;
+        wire::PushAck ack;
+        if (!client.push(push, ack, theta))
+            return 4;
+    }
+    // A second worker drops its connection without a Bye: one reap.
+    PsClient quitter;
+    wire::Welcome second;
+    if (!quitter.connect("127.0.0.1", ps.port()) ||
+        !quitter.hello(helloFor(net, "w1"), second))
+        return 5;
+    quitter.close();
+    if (!eventually([&] { return ps.leases().reaped() == 1; }))
+        return 6;
+
+    const wire::StatsReply stats = ps.stats();
+    const std::string text = server->renderMetrics();
+    const std::pair<const char *, std::uint64_t> events[] = {
+        {"pushes", stats.pushes},
+        {"push_rejects", stats.pushRejects},
+        {"lease_joins", stats.joined},
+        {"lease_reaps", stats.reaped}};
+    bool ok = stats.pushes == 2 && stats.pushRejects == 1 &&
+              stats.joined == 2 && stats.reaped == 1;
+    for (const auto &[event, value] : events) {
+        // Every sample line naming the event, with or without the
+        // fa3c_ prefix and the _total suffix.
+        const std::string bare = std::string("dist_") + event;
+        std::vector<std::string> found;
+        std::istringstream in(text);
+        for (std::string line; std::getline(in, line);) {
+            std::string name = line.substr(0, line.find_first_of(" {"));
+            if (name.starts_with("fa3c_"))
+                name.erase(0, 5);
+            if (name.ends_with("_total"))
+                name.erase(name.size() - 6);
+            if (!line.starts_with('#') && name == bare)
+                found.push_back(line);
+        }
+        const std::string want =
+            "fa3c_" + bare + "_total " + std::to_string(value);
+        if (found.size() != 1 || found[0] != want) {
+            std::fprintf(stderr, "%s: %zu series, want '%s'\n", event,
+                         found.size(), want.c_str());
+            ok = false;
+        }
+    }
+    ps.stop();
+    return ok ? 0 : 1;
+}
+
+} // namespace
+
+TEST(DistPsDeathTest, MetricsCountEachEventOnce)
+{
+    // The telemetry server is process-wide and created from the
+    // environment on first use, so the check runs in a fresh child.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(std::exit(eventCountsChild()),
+                ::testing::ExitedWithCode(0), "");
 }
